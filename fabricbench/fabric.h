@@ -17,7 +17,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/zen.h"
@@ -37,6 +36,8 @@ struct WorkloadSpec {
   bool reactive = false;
   // Every packet opens a 5-tuple never sent before (fabric_new_flows).
   bool fresh_tuples = false;
+  // Megaflow entries per switch; 0 keeps the library default (65536).
+  std::size_t cache_capacity = 0;
   // > 1: sharded packet engine with this many workers + concurrent lookups
   // (set only on the engine companion run of fabric_new_flows, see layers.h).
   unsigned engine_workers = 0;
@@ -59,9 +60,6 @@ std::vector<std::string> workload_names();
 // Fixed workload parameters (printed with every result).
 inline constexpr std::size_t kFatTreeK = 4;
 inline constexpr double kTickS = 1e-3;
-// Megaflow capacity per switch. Below the library default (65536) so that
-// fabric_new_flows reaches a full, evicting cache within a short warm-up.
-inline constexpr std::size_t kCacheCapacity = 4096;
 inline constexpr std::uint16_t kIdleTimeoutS = 1;
 inline constexpr std::uint16_t kDport = 5001;
 inline constexpr std::uint16_t kPrimeSport = 1000;
@@ -74,7 +72,8 @@ struct Send {
   std::uint16_t dst = 0;
   std::uint16_t sport = 0;
   std::uint16_t payload = 0;
-  std::uint32_t seq = 0;  // 0 = first segment of its flow
+  // 0 = first segment of its flow; fabric_warm numbers its timed segments.
+  std::uint32_t seq = 0;
 };
 
 // Turns (workload, seed) into segments. Input guards live here: they check
@@ -115,9 +114,8 @@ class Generator {
   std::size_t hosts_;
   std::vector<std::uint32_t> fresh_next_;  // per pair: next fresh sport
   std::vector<Send> warm_;
-  std::unordered_set<std::uint64_t> warm_keys_;
   std::vector<ActiveFlow> active_;
-  std::uint32_t tick_ = 0;
+  std::uint32_t warm_seq_ = 0;  // last seq of a fabric_warm timed segment
   std::uint64_t flows_opened_ = 0;
   std::string guard_error_;
 };
@@ -151,29 +149,16 @@ struct LayerCounts {
   std::uint64_t queue_pending_max = 0;
 };
 
-// The timed ticks are cut into windows of this much tick wall time, with
-// throughput and tick-time quantiles kept per window.
-inline constexpr double kWindowNs = 1e9;
-// Throughput and tick quantiles are reported at the least-loaded tenth of
-// the run's windows (the 90th percentile of per-window throughput, the 10th
-// percentile of per-window tick time). Background load on a shared host
-// slows every tick by up to ~1.6x for seconds to minutes at a time, so a
-// statistic over the whole run tracks the run's share of loaded time; the
-// quietest tenth of the run shows the program's own cost.
-inline constexpr double kQuietQuantile = 0.1;
-
 // What one timed phase measured.
 struct PhaseResult {
   std::size_t ticks = 0;
   double wall_ns = 0;  // wall time of all timed ticks
-  // Per window: segments offered per wall second, and the p50 and p99 of
-  // tick wall time in microseconds.
-  std::vector<double> window_pps, window_p50_us, window_p99_us;
+  std::vector<double> tick_ns;  // wall time of each timed tick
   std::uint64_t offered = 0;    // segments sent (timed ticks + drain)
   std::uint64_t delivered = 0;
   std::uint64_t timed_offered = 0;  // segments sent in timed ticks
   std::uint64_t setups = 0;         // reactive flows opened in timed ticks
-  std::uint64_t failed = 0;         // lost or duplicated segments, bad setups
+  std::uint64_t failed = 0;  // segments not delivered exactly once, drops, errors
   std::vector<std::string> failures;
   std::vector<double> first_pkt_us;  // first-packet latency sample
   LayerCounts counts;
@@ -209,6 +194,12 @@ class Fabric {
   // Failures (ARP not warm, no plateau) land in setup_error().
   double setup();
   const std::string& setup_error() const noexcept { return setup_error_; }
+  // Wall time of each step of the last setup(), in order: construction,
+  // priming, each warm-up tick. For one seed every set-up does the same
+  // steps, so step i of two set-ups is the same work.
+  const std::vector<double>& setup_laps_ns() const noexcept {
+    return setup_laps_ns_;
+  }
 
   // Runs timed ticks until `wall_budget_s` of wall time has passed (when
   // > 0) or exactly `fixed_ticks` ticks, then drains and checks outputs.
@@ -221,22 +212,27 @@ class Fabric {
   double timed_start() const noexcept { return timed_start_; }
 
  private:
-  struct FlowState {
-    std::uint16_t sent = 0;
-    std::uint16_t received = 0;
-    std::uint16_t first_received = 0;
+  struct SegmentState {
+    std::uint32_t sent = 0;
+    std::uint32_t received = 0;
   };
   void offer(const std::vector<Send>& sends, bool timed);
   void advance_to(double t, bool timed);
   void on_segment(std::size_t dst, const zen::net::ParsedPacket& p,
                   std::span<const std::uint8_t> payload);
-  std::uint64_t flow_key(std::size_t src, std::size_t dst,
-                         std::uint16_t sport) const noexcept {
-    return (std::uint64_t{src} << 32) | (std::uint64_t{dst} << 16) | sport;
+  // (src, dst, sport, seq) names one segment: the generator never sends the
+  // same four twice. Host indices fit in 8 bits (16 hosts).
+  static std::uint64_t segment_key(std::size_t src, std::size_t dst,
+                                   std::uint16_t sport,
+                                   std::uint32_t seq) noexcept {
+    return (std::uint64_t{src} << 56) | (std::uint64_t{dst} << 48) |
+           (std::uint64_t{sport} << 32) | seq;
   }
   double tick_end(std::uint64_t tick) const noexcept {
     return tick_origin_ + static_cast<double>(tick) * kTickS;
   }
+  // Closes a set-up step (no-op outside setup()).
+  void lap();
   // Offers one tick outside the timed phase.
   void untimed_tick(bool open_new);
   // Offers ticks (untimed) until the workload's steady state holds.
@@ -260,11 +256,16 @@ class Fabric {
   std::uint64_t delivered_ = 0;
   bool sample_latency_ = false;
   std::vector<double> first_pkt_us_;
-  // Reactive flows keyed by (src, dst, sport); tracked in timed phases.
-  bool track_flows_ = false;
-  std::unordered_map<std::uint64_t, FlowState> flows_;
+  // Segments in flight in a timed phase, by segment_key(); an entry leaves
+  // once its one segment has arrived once, so what is left at the end was
+  // lost, duplicated or never sent.
+  bool track_segments_ = false;
+  std::unordered_map<std::uint64_t, SegmentState> in_flight_;
 
   bool primed_ = false;
+  bool in_setup_ = false;
+  Clock::time_point lap_start_;
+  std::vector<double> setup_laps_ns_;
   double tick_origin_ = 0;
   std::uint64_t tick_ = 0;
   double timed_start_ = 0;

@@ -67,10 +67,13 @@ net::Bytes build_frame(const topo::GeneratedTopo& gen, double at,
 // and SwitchConfig as the real ones) in virtual-time order with the
 // recorded segments, and walks every segment hop by hop through
 // Switch::ingress along the topology, timing each stage the benchmark can
-// call on its own.
+// call on its own. Everything recorded is replayed, to rebuild the shadow
+// state, but only what was sent from `timed_start` on is sampled: set-up and
+// warm-up are not the steady state the timed ticks measure.
 WalkStats replay_and_walk(core::Network& net,
                           const std::vector<std::pair<double, Send>>& sends,
-                          const std::vector<TraceHooks::Mod>& mods) {
+                          const std::vector<TraceHooks::Mod>& mods,
+                          double timed_start) {
   WalkStats w;
   const topo::GeneratedTopo& gen = net.generated();
   const topo::Topology& topology = gen.topo;
@@ -95,15 +98,16 @@ WalkStats replay_and_walk(core::Network& net,
   const auto apply = [&](const TraceHooks::Mod& m) {
     const auto it = shadow.find(m.dpid);
     if (it == shadow.end()) return;
+    const auto t0 = Clock::now();
     if (const auto* fm = std::get_if<openflow::FlowMod>(&m.msg)) {
-      const auto t0 = Clock::now();
       it->second->flow_mod(*fm, m.at);
-      w.flow_mod_apply.add(ns_since(t0));
     } else if (const auto* gm = std::get_if<openflow::GroupMod>(&m.msg)) {
-      const auto t0 = Clock::now();
       it->second->group_mod(*gm);
-      w.flow_mod_apply.add(ns_since(t0));
+    } else {
+      return;
     }
+    const double ns = ns_since(t0);
+    if (m.at >= timed_start) w.flow_mod_apply.add(ns);
   };
 
   struct Hop {
@@ -120,6 +124,7 @@ WalkStats replay_and_walk(core::Network& net,
     for (; next_sweep <= at; next_sweep += 1.0)
       for (auto& [id, sw] : shadow) (void)sw->expire_flows(next_sweep);
     clock = at;
+    const bool sampled = at >= timed_start;
 
     const topo::HostAttachment& a = attachment.at(gen.hosts[s.src]);
     work.push_back(Hop{a.sw, a.sw_port, build_frame(gen, at, s)});
@@ -129,7 +134,7 @@ WalkStats replay_and_walk(core::Network& net,
       if (topo::is_host_id(h.node)) {
         const auto t0 = Clock::now();
         hosts.at(h.node)->deliver(h.frame);
-        w.host_rx.add(ns_since(t0));
+        if (sampled) w.host_rx.add(ns_since(t0));
         continue;
       }
       dataplane::Switch& sw = *shadow.at(h.node);
@@ -141,7 +146,6 @@ WalkStats replay_and_walk(core::Network& net,
       dataplane::ForwardResult r = sw.ingress(at, h.port, h.frame);
       const double ingress_ns = ns_since(t0);
       const bool hit = sw.cache().misses() == misses_before;
-      (hit ? w.ingress_hit : w.ingress_miss).add(ingress_ns);
       if (r.packet_in)
         w.packet_ins.push_back(PacketInRecord{at, h.node, *r.packet_in});
       for (auto& egress : r.outputs) {
@@ -150,6 +154,8 @@ WalkStats replay_and_walk(core::Network& net,
         const topo::NodeId next = link->other(h.node);
         work.push_back(Hop{next, link->port_at(next), std::move(egress.frame)});
       }
+      if (!sampled) continue;
+      (hit ? w.ingress_hit : w.ingress_miss).add(ingress_ns);
 
       t0 = Clock::now();
       const auto parsed = net::parse_packet(h.frame);
@@ -255,7 +261,7 @@ TracedReport run_traced(const WorkloadSpec& spec, std::uint64_t seed,
   const double timed_start = traced.timed_start();
 
   // 3a. Shadow dataplane replay.
-  WalkStats w = replay_and_walk(net, sends, mods);
+  WalkStats w = replay_and_walk(net, sends, mods, timed_start);
 
   // 3b. Wire codec: every tapped mod and every replayed PacketIn.
   Samples encode, decode, pin_encode, pin_decode, mod_decode;
@@ -473,8 +479,7 @@ TracedReport run_traced(const WorkloadSpec& spec, std::uint64_t seed,
        ratio(static_cast<double>(c.path_hits),
              static_cast<double>(c.path_hits + c.path_misses)),
        "ratio"},
-      {"delivered_pps", quantile(u.window_pps, 1 - kQuietQuantile), "pkt/s"},
-      {"tick_us_p50", quantile(u.window_p50_us, kQuietQuantile), "us"},
+      {"tick_us_p99", quantile(u.tick_ns, 0.99) / 1e3, "us"},
       {"sumcheck.wall_ns_per_pkt", ratio(u.wall_ns, pkts), "ns"},
       {"sumcheck.model_ns_per_pkt", model_pkt, "ns"},
       {"unattributed_frac", unattributed, "ratio"},

@@ -8,11 +8,11 @@
 // self-check. Either way the last line of stdout is one JSON object:
 //   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 // and the exit code is non-zero when any output check failed.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 
@@ -23,24 +23,75 @@ namespace {
 
 using namespace fabricbench;
 
-// Set-up is timed in two batches, before and after the timed phase, so the
-// reported median spans the run's changing background load. Each batch
-// repeats at least kSetupRepeats times and until kSetupBudgetS of set-up
-// wall time has passed (short set-ups are noisy).
-constexpr std::size_t kSetupRepeats = 2;
-constexpr std::size_t kSetupRepeatsMax = 50;
-constexpr double kSetupBudgetS = 0.5;
+// The timed ticks run on kNetworks fresh networks of the same seed in turn:
+// the first for its share of --seconds, the others for as many ticks. A
+// set-up shorter than kSetupBatchS is repeated before each later network
+// until the batch is spent. For one seed, timed tick i does the same work
+// on every network and set-up step i
+// (Fabric::setup_laps_ns) the same work in every set-up. Background load on
+// a shared host slows the program by up to ~1.6x in spells of a fraction of
+// a second to minutes, so the benchmark keeps each tick's and each set-up
+// step's fastest time over the repeats, spread over the whole run, and
+// reports quantiles and sums of those: the program as it runs when quiet.
+constexpr std::size_t kNetworks = 10;
+constexpr double kSetupBatchS = 0.2;
 
-void setup_repeats(const WorkloadSpec& w, std::uint64_t seed,
-                   std::vector<double>& setup_s) {
-  double total_s = 0;
-  for (std::size_t n = 0;
-       n < kSetupRepeats || (total_s < kSetupBudgetS && n < kSetupRepeatsMax);
-       ++n) {
-    Fabric fabric(w, seed);
-    setup_s.push_back(fabric.setup());
-    total_s += setup_s.back();
+// best[i] = min(best[i], sample[i]); false when the lengths differ.
+bool keep_fastest(std::vector<double>& best, const std::vector<double>& sample) {
+  if (best.empty()) best = sample;
+  if (best.size() != sample.size()) return false;
+  for (std::size_t i = 0; i < best.size(); ++i)
+    best[i] = std::min(best[i], sample[i]);
+  return true;
+}
+
+double sum(const std::vector<double>& v) {
+  double total = 0;
+  for (const double x : v) total += x;
+  return total;
+}
+
+struct SetupTimes {
+  std::vector<double> total_s;
+  std::vector<double> fastest_laps_ns;
+  bool same_steps = true;
+
+  void add(const Fabric& fabric, double s) {
+    total_s.push_back(s);
+    same_steps &= keep_fastest(fastest_laps_ns, fabric.setup_laps_ns());
   }
+  // Extra set-ups before a network; the batch counts that network's own
+  // set-up, assumed as long as the first.
+  void repeat(const WorkloadSpec& w, std::uint64_t seed) {
+    if (total_s.empty()) return;
+    for (double spent_s = total_s.front(); spent_s < kSetupBatchS;) {
+      Fabric fabric(w, seed);
+      const double s = fabric.setup();
+      add(fabric, s);
+      spent_s += s;
+    }
+  }
+  // Sum of the steps' fastest times; the fastest whole set-up if the
+  // set-ups did not all run the same steps.
+  double quiet_s() const {
+    return same_steps ? sum(fastest_laps_ns) * 1e-9 : quantile(total_s, 0);
+  }
+};
+
+// Adds one network's timed phase to the whole run's totals. The
+// first-packet latency sample is the same on every network (one seed), so
+// the first network's is kept.
+void append(PhaseResult& run, const PhaseResult& part) {
+  run.ticks += part.ticks;
+  run.wall_ns += part.wall_ns;
+  run.offered += part.offered;
+  run.delivered += part.delivered;
+  run.timed_offered += part.timed_offered;
+  run.setups += part.setups;
+  run.failed += part.failed;
+  run.failures.insert(run.failures.end(), part.failures.begin(),
+                      part.failures.end());
+  if (run.first_pkt_us.empty()) run.first_pkt_us = part.first_pkt_us;
 }
 
 struct Args {
@@ -131,16 +182,18 @@ void print_meta(const Args& a, const WorkloadSpec& w) {
       "\"engine_workers\": %u, \"pkts_per_tick\": %zu, \"warm_set\": %zu, "
       "\"new_flows_per_tick\": %zu, \"flow_packets\": %zu, "
       "\"idle_timeout_s\": %u, \"latency_samples\": %zu, "
-      "\"setup_repeats_min\": %zu}}}\n",
+      "\"networks\": %zu, \"setup_batch_s\": %s}}}\n",
       w.name, static_cast<unsigned long long>(a.seed),
       json_number(a.seconds).c_str(), a.trace, a.git_sha.c_str(),
       a.src_digest.c_str(), FABRICBENCH_BUILD_TYPE, obs,
       std::thread::hardware_concurrency(), kFatTreeK,
-      json_number(kTickS).c_str(), kCacheCapacity,
+      json_number(kTickS).c_str(),
+      w.cache_capacity > 0 ? w.cache_capacity
+                           : zen::dataplane::SwitchConfig{}.cache_capacity,
       w.reactive ? "true" : "false", w.fresh_tuples ? "true" : "false",
       w.engine_workers, w.pkts_per_tick, w.warm_set, w.new_flows_per_tick,
       w.flow_packets, static_cast<unsigned>(kIdleTimeoutS), w.latency_samples,
-      2 * kSetupRepeats + 1);
+      kNetworks, json_number(kSetupBatchS).c_str());
   if (std::strcmp(FABRICBENCH_BUILD_TYPE, "Release") != 0)
     std::fprintf(stderr,
                  "fabricbench: WARNING: build type is %s, not Release; "
@@ -157,13 +210,21 @@ struct Result {
 
 Result run_end_to_end(const Args& a, const WorkloadSpec& w) {
   Result res;
-  std::vector<double> setup_s;
-  setup_repeats(w, a.seed, setup_s);
-  auto fabric = std::make_unique<Fabric>(w, a.seed);
-  setup_s.push_back(fabric->setup());
-  const PhaseResult r = fabric->run(a.seconds);
-  fabric.reset();
-  setup_repeats(w, a.seed, setup_s);
+  SetupTimes setup;
+  PhaseResult r;
+  std::vector<double> quiet_tick_ns;  // each tick's fastest over networks
+  for (std::size_t k = 0; k < kNetworks; ++k) {
+    setup.repeat(w, a.seed);
+    Fabric fabric(w, a.seed);
+    const double s = fabric.setup();
+    setup.add(fabric, s);
+    const PhaseResult part = k == 0 ? fabric.run(a.seconds / kNetworks)
+                                    : fabric.run(0, quiet_tick_ns.size());
+    keep_fastest(quiet_tick_ns, part.tick_ns);
+    append(r, part);
+  }
+  const std::vector<double>& setup_s = setup.total_s;
+  const double quiet_setup_s = setup.quiet_s();
   res.failures = r.failures;
   res.attempted = r.offered;
   res.failed = r.failed;
@@ -171,34 +232,40 @@ Result run_end_to_end(const Args& a, const WorkloadSpec& w) {
   const double wall_s = r.wall_ns * 1e-9;
   const double lost_frac =
       r.offered ? static_cast<double>(r.failed) / static_cast<double>(r.offered) : 1;
-  const double pps = quantile(r.window_pps, 1 - kQuietQuantile) * (1 - lost_frac);
-  const double tick_p50 = quantile(r.window_p50_us, kQuietQuantile);
-  const double tick_p99 = quantile(r.window_p99_us, kQuietQuantile);
+  const double offered_per_network =
+      static_cast<double>(r.timed_offered) / static_cast<double>(kNetworks);
+  const double quiet_pps = offered_per_network / (sum(quiet_tick_ns) * 1e-9);
+  const double tick_p50 = quantile(quiet_tick_ns, 0.5) / 1e3;
+  const double tick_p99 = quantile(quiet_tick_ns, 0.99) / 1e3;
   const double virt_p50 = quantile(r.first_pkt_us, 0.5);
   const double virt_p99 = quantile(r.first_pkt_us, 0.99);
-  std::printf("timed: %zu ticks in %zu windows of %.0f s, %llu segments "
-              "offered, %llu delivered, %llu setups, wall %.3f s\n",
-              r.ticks, r.window_pps.size(), kWindowNs / 1e9,
+  std::printf("timed: %zu networks x %zu ticks, %llu segments offered, %llu "
+              "delivered, %llu setups, wall %.3f s\n",
+              kNetworks, quiet_tick_ns.size(),
               static_cast<unsigned long long>(r.offered),
               static_cast<unsigned long long>(r.delivered),
               static_cast<unsigned long long>(r.setups), wall_s);
-  std::printf("whole run: delivered_pps %.1f, mean tick %.3f us; quietest "
-              "tenth of windows: delivered_pps %.1f, tick_us p50 %.3f "
-              "p99 %.3f\n",
+  std::printf("whole run: delivered_pps %.1f, mean tick %.3f us; each tick's "
+              "fastest of %zu: delivered_pps %.1f, tick_us p50 %.3f p99 %.3f\n",
               static_cast<double>(r.timed_offered) / wall_s,
-              r.wall_ns / 1e3 / static_cast<double>(r.ticks), pps, tick_p50,
-              tick_p99);
-  std::printf("setup: %zu repeats, median %.4f s; setup_virt_us p50 %.3f "
-              "p99 %.3f (n=%zu); setups_per_s %.1f; lost_frac %.6f\n",
-              setup_s.size(), quantile(setup_s, 0.5), virt_p50, virt_p99,
+              r.wall_ns / 1e3 / static_cast<double>(r.ticks), kNetworks,
+              quiet_pps, tick_p50, tick_p99);
+  std::printf("setup: %zu set-ups of %zu steps, fastest steps summed %.4f s, "
+              "whole set-up min %.4f median %.4f max %.4f s; "
+              "setup_virt_us p50 %.3f p99 %.3f (n=%zu); setups_per_s %.1f; "
+              "lost_frac %.6f\n",
+              setup_s.size(), setup.fastest_laps_ns.size(), quiet_setup_s,
+              quantile(setup_s, 0), quantile(setup_s, 0.5),
+              quantile(setup_s, 1), virt_p50, virt_p99,
               r.first_pkt_us.size(),
               wall_s > 0 ? static_cast<double>(r.setups) / wall_s : 0, lost_frac);
   if (r.first_pkt_us.size() < w.latency_samples)
     std::printf("warning: only %zu of %zu first-packet latency samples\n",
                 r.first_pkt_us.size(), w.latency_samples);
   res.metrics = {
-      {"setup_s", quantile(setup_s, 0.5), "s"},
-      {"tick_us_p99", tick_p99, "us"},
+      {"setup_s", quiet_setup_s, "s"},
+      {"delivered_pps", quiet_pps * (1 - lost_frac), "pkt/s"},
+      {"tick_us_p50", tick_p50, "us"},
       {"setup_virt_us_p50", virt_p50, "us"},
       {"setup_virt_us_p99", virt_p99, "us"},
       {"delivered_frac", 1 - lost_frac, "ratio"},
