@@ -6,12 +6,11 @@
 namespace zen::dataplane {
 
 MutablePacket::MutablePacket(std::span<const std::uint8_t> frame)
-    : original_(frame.begin(), frame.end()) {
+    : frame_(frame) {
   auto parsed = net::parse_packet(frame);
   if (!parsed.ok()) return;
   parsed_ = std::move(parsed).value();
-  payload_.assign(frame.begin() + static_cast<std::ptrdiff_t>(parsed_.payload_offset),
-                  frame.end());
+  payload_ = frame.subspan(parsed_.payload_offset);
   ok_ = true;
 }
 
@@ -96,7 +95,7 @@ bool MutablePacket::apply(const openflow::Action& action) {
 }
 
 std::size_t MutablePacket::wire_size() const noexcept {
-  if (!modified_) return original_.size();
+  if (!modified_) return frame_.size();
   std::size_t n = net::EthernetHeader::kSize;
   if (parsed_.vlan) n += net::VlanTag::kSize;
   if (parsed_.arp) n += net::ArpMessage::kSize;
@@ -109,7 +108,7 @@ std::size_t MutablePacket::wire_size() const noexcept {
 }
 
 net::Bytes MutablePacket::serialize() const {
-  if (!modified_) return original_;
+  if (!modified_) return net::Bytes(frame_.begin(), frame_.end());
 
   net::Bytes out;
   out.reserve(wire_size());

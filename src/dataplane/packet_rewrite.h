@@ -5,6 +5,10 @@
 // bytes with recomputed IPv4 and L4 checksums. This gives correct
 // semantics for action lists that interleave rewrites and outputs (each
 // output sees the packet as rewritten so far).
+//
+// The packet is a view: it keeps a span of the frame it was built from
+// (the payload and, while unmodified, the whole wire image are read from
+// there), so the frame must outlive the packet.
 #pragma once
 
 #include <optional>
@@ -16,8 +20,10 @@ namespace zen::dataplane {
 
 class MutablePacket {
  public:
-  // Parses `frame`; check ok() before use.
+  // Parses `frame`, which must outlive this packet; check ok() before use.
   explicit MutablePacket(std::span<const std::uint8_t> frame);
+  // A temporary frame would dangle.
+  explicit MutablePacket(net::Bytes&&) = delete;
 
   bool ok() const noexcept { return ok_; }
 
@@ -45,8 +51,8 @@ class MutablePacket {
 
  private:
   net::ParsedPacket parsed_;
-  net::Bytes original_;
-  net::Bytes payload_;
+  std::span<const std::uint8_t> frame_;
+  std::span<const std::uint8_t> payload_;  // tail of frame_
   bool ok_ = false;
   bool modified_ = false;
 };

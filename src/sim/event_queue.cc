@@ -37,30 +37,49 @@ void run_compute(void* ctx) {
 
 }  // namespace
 
-void EventQueue::schedule_at(double at, Callback fn) {
-  heap_.push_back(
-      Event{std::max(at, now_), next_seq_++, std::move(fn), nullptr, 0});
+EventQueue::Slot& EventQueue::push(double at, bool sharded) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  heap_.push_back(Entry{std::max(at, now_), next_seq_++, slot, sharded});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return slots_[slot];
+}
+
+EventQueue::Slot EventQueue::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry head = heap_.back();
+  heap_.pop_back();
+  now_ = head.at;
+  free_slots_.push_back(head.slot);
+  return std::move(slots_[head.slot]);
+}
+
+void EventQueue::schedule_at(double at, Callback fn) {
+  push(at, /*sharded=*/false).fn = std::move(fn);
 }
 
 void EventQueue::schedule_sharded_at(double at, std::uint64_t key,
                                      PhasedCallback fn) {
-  heap_.push_back(
-      Event{std::max(at, now_), next_seq_++, nullptr, std::move(fn), key});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  Slot& slot = push(at, /*sharded=*/true);
+  slot.phased = std::move(fn);
+  slot.key = key;
 }
 
 std::size_t EventQueue::step_slice() {
   if (heap_.empty()) return 0;
   auto& metrics = QueueMetrics::get();
 
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  now_ = ev.at;
+  const bool sharded = heap_.front().sharded;
+  Slot ev = pop();
 
-  if (!ev.sharded() || engine_ == nullptr) {
-    if (ev.sharded()) {
+  if (!sharded || engine_ == nullptr) {
+    if (sharded) {
       // Inline mode: both phases back to back, exactly the seq-order
       // behavior a plain event would have. This is the determinism anchor
       // the parallel path is validated against.
@@ -81,11 +100,8 @@ std::size_t EventQueue::step_slice() {
   slice_.clear();
   slice_.push_back(std::move(ev));
   while (!heap_.empty() && heap_.front().at == now_ &&
-         heap_.front().sharded()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    slice_.push_back(std::move(heap_.back()));
-    heap_.pop_back();
-  }
+         heap_.front().sharded)
+    slice_.push_back(pop());
   // pop order respects Later{}, so slice_ is already in seq order.
 
   if (slice_.size() == 1) {
@@ -96,16 +112,17 @@ std::size_t EventQueue::step_slice() {
     // same worker in slice (seq) order, so per-entity effects stay ordered.
     std::vector<ParallelEngine::Task> tasks;
     tasks.reserve(slice_.size());
-    for (Event& e : slice_)
-      tasks.push_back(
-          ParallelEngine::Task{e.key, &e.phased, &run_compute});
+    for (Slot& e : slice_)
+      tasks.push_back(ParallelEngine::Task{e.key, &e.phased, &run_compute});
     engine_->run_batch(tasks);
 
     // Phase 2: applies in seq order on this (the coordinator) thread.
     // run_batch was a quiescence barrier, so applies may freely mutate
     // shared state and schedule follow-on events (which get fresh seqs
-    // and thus fire after this slice, matching the inline order).
-    for (Event& e : slice_) e.phased(Phase::kApply);
+    // and thus fire after this slice, matching the inline order). The
+    // slice's callbacks already left the slot table, so a follow-on that
+    // grows it moves none of them.
+    for (Slot& e : slice_) e.phased(Phase::kApply);
 
     parallel_events_ += slice_.size();
     metrics.parallel_events.inc(slice_.size());

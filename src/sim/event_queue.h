@@ -22,6 +22,11 @@
 // runs every Apply phase in seq order. Because Apply order is the seq
 // order either way, final state matches the inline run for any worker
 // count.
+//
+// Layout: the heap holds 24-byte {at, seq, slot, sharded} entries; the
+// callbacks sit in a free-listed slot table beside it. Sifting therefore
+// never moves a std::function, and slice formation reads the sharded bit
+// straight from the head entry.
 #pragma once
 
 #include <cstdint>
@@ -84,20 +89,34 @@ class EventQueue {
   std::uint64_t parallel_events() const noexcept { return parallel_events_; }
 
  private:
-  struct Event {
+  // A heap entry; its callback waits in slots_[slot] until it runs.
+  struct Entry {
     double at;
     std::uint64_t seq;
-    Callback fn;          // plain events
-    PhasedCallback phased; // sharded events (exactly one of fn/phased set)
-    std::uint64_t key = 0;
-    bool sharded() const noexcept { return static_cast<bool>(phased); }
+    std::uint32_t slot;
+    bool sharded;
   };
+  static_assert(sizeof(Entry) == 24);
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
+  // A pending event's callback (exactly one of fn/phased set) and shard
+  // key. Freed slots are reused; a callback is moved out of its slot
+  // before it runs, so it may schedule events that grow the table.
+  struct Slot {
+    Callback fn;
+    PhasedCallback phased;
+    std::uint64_t key = 0;
+  };
+  // Returns a free slot for a new event's callback, growing the table if
+  // none is free, and pushes the event's heap entry.
+  Slot& push(double at, bool sharded);
+  // Removes the head entry, advances the clock to its time, and moves its
+  // callback out of its slot, which becomes free.
+  Slot pop();
 
   // Pops the head dispatch unit (one plain event, or a sharded slice) and
   // runs it. Returns the number of events executed (0 when empty).
@@ -107,11 +126,10 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   std::uint64_t parallel_events_ = 0;
   ParallelEngine* engine_ = nullptr;
-  // A raw binary heap instead of std::priority_queue: top() is const there,
-  // which forces step() to *copy* the callback (and any captured packet
-  // buffers) out of the queue. pop_heap + move keeps delivery zero-copy.
-  std::vector<Event> heap_;
-  std::vector<Event> slice_;  // scratch for the current sharded slice
+  std::vector<Entry> heap_;  // binary min-heap under Later
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<Slot> slice_;  // scratch for the current sharded slice
 };
 
 }  // namespace zen::sim

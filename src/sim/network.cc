@@ -189,8 +189,8 @@ void SimNetwork::transmit(topo::NodeId from, std::uint32_t port,
                           std::uint32_t in_port) {
   const topo::Link* link = gen_.topo.link_at(from, port);
   if (!link) return;
-  auto& dir_state =
-      link_runtime_.at(link->id).dirs[(from == link->a) ? 0 : 1];
+  const int dir = (from == link->a) ? 0 : 1;
+  auto& dir_state = link_runtime_.at(link->id).dirs[dir];
   auto& stats = dir_state.stats;
 
   if (!link->up) {
@@ -215,97 +215,96 @@ void SimNetwork::transmit(topo::NodeId from, std::uint32_t port,
                        static_cast<std::uint32_t>(dir_state.queued_bytes)});
   }
 
-  ++stats.delivered;
-  stats.bytes += frame.size();
-  if (queue_id >= 1) ++stats.priority_delivered;
-
-  if (!dir_state.busy) {
-    dir_state.busy = true;
-    start_transmission(link->id, (from == link->a) ? 0 : 1, std::move(frame));
+  const bool priority = queue_id >= 1;
+  if (!dir_state.completion_pending && now() >= dir_state.busy_until) {
+    start_transmission(*link, dir, dir_state, std::move(frame), priority);
     return;
   }
 
   // Transmitter busy: enqueue under the shared DropTail budget. Strict
   // priority: class >= 1 frames are always accepted ahead of best-effort
   // backlog; if even dropping BE tail can't make room, the frame is lost.
-  if (dir_state.queued_bytes + static_cast<double>(frame.size()) >
-      options_.queue_bytes) {
-    if (queue_id >= 1 && !dir_state.queue_best_effort.empty()) {
+  const auto size = static_cast<double>(frame.size());
+  if (dir_state.queued_bytes + size > options_.queue_bytes) {
+    if (priority) {
       // Push out best-effort tail to admit the priority frame.
       while (!dir_state.queue_best_effort.empty() &&
-             dir_state.queued_bytes + static_cast<double>(frame.size()) >
-                 options_.queue_bytes) {
+             dir_state.queued_bytes + size > options_.queue_bytes) {
         dir_state.queued_bytes -=
             static_cast<double>(dir_state.queue_best_effort.back().size());
         dir_state.queue_best_effort.pop_back();
         ++stats.dropped_queue;
         note_link_drop();
-        --stats.delivered;  // it was counted on admission
       }
-      if (dir_state.queued_bytes + static_cast<double>(frame.size()) >
-          options_.queue_bytes) {
-        ++stats.dropped_queue;
-        note_link_drop();
-        --stats.delivered;
-        if (queue_id >= 1) --stats.priority_delivered;
-        return;
-      }
-    } else {
+    }
+    if (dir_state.queued_bytes + size > options_.queue_bytes) {
       ++stats.dropped_queue;
       note_link_drop();
-      --stats.delivered;
-      if (queue_id >= 1) --stats.priority_delivered;
       return;
     }
   }
-  dir_state.queued_bytes += static_cast<double>(frame.size());
-  (queue_id >= 1 ? dir_state.queue_priority : dir_state.queue_best_effort)
+  dir_state.queued_bytes += size;
+  (priority ? dir_state.queue_priority : dir_state.queue_best_effort)
       .push_back(std::move(frame));
+  if (!dir_state.completion_pending)
+    schedule_completion(link->id, dir, dir_state);
 }
 
-void SimNetwork::start_transmission(topo::LinkId link_id, int dir,
-                                    net::Bytes frame) {
+void SimNetwork::start_transmission(const topo::Link& link, int dir,
+                                    LinkDir& dir_state, net::Bytes frame,
+                                    bool priority) {
   if (telemetry_on_) {
     // Dequeue re-stamp: the newest hop record gets the actual serialization
     // start time and the backlog left behind in this link direction.
-    const auto& dir_state = link_runtime_.at(link_id).dirs[dir];
     net::restamp_last_hop(
         frame, now_ns(),
         static_cast<std::uint32_t>(dir_state.queued_bytes));
   }
-  const topo::Link* link = gen_.topo.link(link_id);
+  ++dir_state.stats.delivered;
+  dir_state.stats.bytes += frame.size();
+  if (priority) ++dir_state.stats.priority_delivered;
+
   const double tx_time =
-      static_cast<double>(frame.size()) / (link->capacity_bps / 8.0);
-  const topo::NodeId to = (dir == 0) ? link->b : link->a;
-  const std::uint32_t to_port = link->port_at(to);
-  const double done_at = now() + tx_time;
+      static_cast<double>(frame.size()) / (link.capacity_bps / 8.0);
+  const topo::NodeId to = (dir == 0) ? link.b : link.a;
+  const std::uint32_t to_port = link.port_at(to);
+  dir_state.busy_until = now() + tx_time;
   // Frame reaches the far end one propagation delay after serialization.
-  schedule_delivery(done_at + link->latency_s, to, to_port, std::move(frame));
-  events_.schedule_at(done_at,
-                      [this, link_id, dir] { on_transmit_complete(link_id, dir); });
+  schedule_delivery(dir_state.busy_until + link.latency_s, to, to_port,
+                    std::move(frame));
 }
 
 void SimNetwork::on_transmit_complete(topo::LinkId link_id, int dir) {
   auto& dir_state = link_runtime_.at(link_id).dirs[dir];
-  auto& next_queue = !dir_state.queue_priority.empty()
-                         ? dir_state.queue_priority
-                         : dir_state.queue_best_effort;
-  if (next_queue.empty()) {
-    dir_state.busy = false;
-    return;
-  }
-  net::Bytes frame = std::move(next_queue.front());
-  next_queue.pop_front();
-  dir_state.queued_bytes -= static_cast<double>(frame.size());
+  dir_state.completion_pending = false;
   const topo::Link* link = gen_.topo.link(link_id);
-  if (!link || !link->up) {
+  for (;;) {
+    const bool priority = !dir_state.queue_priority.empty();
+    auto& next_queue =
+        priority ? dir_state.queue_priority : dir_state.queue_best_effort;
+    if (next_queue.empty()) return;
+    net::Bytes frame = std::move(next_queue.front());
+    next_queue.pop_front();
+    dir_state.queued_bytes -= static_cast<double>(frame.size());
+    if (link && link->up) {
+      start_transmission(*link, dir, dir_state, std::move(frame), priority);
+      break;
+    }
     // Link died while the frame was queued.
     ++dir_state.stats.dropped_down;
     note_link_drop();
-    on_transmit_complete(link_id, dir);
-    return;
   }
-  start_transmission(link_id, dir, std::move(frame));
+  if (!dir_state.queue_priority.empty() ||
+      !dir_state.queue_best_effort.empty())
+    schedule_completion(link_id, dir, dir_state);
+}
+
+void SimNetwork::schedule_completion(topo::LinkId link_id, int dir,
+                                     LinkDir& dir_state) {
+  dir_state.completion_pending = true;
+  events_.schedule_at(dir_state.busy_until, [this, link_id, dir] {
+    on_transmit_complete(link_id, dir);
+  });
 }
 
 void SimNetwork::deliver(topo::NodeId node, std::uint32_t port,

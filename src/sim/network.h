@@ -5,7 +5,9 @@
 // transmitter: one frame serializes at a time, waiting frames sit in a
 // two-class strict-priority DropTail queue (SetQueue >= 1 selects the
 // priority class), so congestion, loss, serialization delay and QoS are
-// all observable.
+// all observable. A transmit-complete event is scheduled only while a
+// frame waits behind the one on the wire, so a frame crossing an idle link
+// costs one event (its arrival).
 //
 // The control plane is attached through a narrow seam: switch-originated
 // events (PacketIn / PortStatus / FlowRemoved) are handed to a single
@@ -29,6 +31,11 @@
 
 namespace zen::sim {
 
+// Per-direction link counters. delivered, bytes and priority_delivered
+// count frames that started serialising; a frame still waiting in the
+// queue is in none of them, and a frame that never leaves (refused or
+// pushed out by DropTail, or drained after the link died) is counted only
+// in its drop counter.
 struct LinkDirStats {
   std::uint64_t delivered = 0;
   std::uint64_t dropped_queue = 0;
@@ -158,7 +165,12 @@ class SimNetwork {
 
  private:
   struct LinkDir {
-    bool busy = false;
+    // Virtual time at which the frame on the wire finishes serialising;
+    // the transmitter is idle from then on unless a frame is waiting.
+    double busy_until = 0;
+    // A transmit-complete event is scheduled at busy_until. Set exactly
+    // while frames wait in the queues.
+    bool completion_pending = false;
     std::deque<net::Bytes> queue_priority;
     std::deque<net::Bytes> queue_best_effort;
     double queued_bytes = 0;
@@ -170,8 +182,15 @@ class SimNetwork {
 
   void transmit(topo::NodeId from, std::uint32_t port, net::Bytes frame,
                 std::uint32_t queue_id = 0, std::uint32_t in_port = 0);
-  void start_transmission(topo::LinkId link_id, int dir, net::Bytes frame);
+  // Puts `frame` on the wire of `link` in direction `dir` now and
+  // schedules its arrival at the far end.
+  void start_transmission(const topo::Link& link, int dir, LinkDir& dir_state,
+                          net::Bytes frame, bool priority);
+  // The wire of one direction is free: starts the next waiting frame
+  // (priority class first), dropping any queued behind a dead link.
   void on_transmit_complete(topo::LinkId link_id, int dir);
+  // Schedules on_transmit_complete at the end of the frame on the wire.
+  void schedule_completion(topo::LinkId link_id, int dir, LinkDir& dir_state);
   void deliver(topo::NodeId node, std::uint32_t port, net::Bytes frame);
   // Schedules the arrival of `frame` at `node` as a two-phase sharded
   // event keyed by the destination: the switch-lookup half (ingress) runs

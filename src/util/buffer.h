@@ -96,7 +96,8 @@ class ByteReader {
   std::uint32_t u32() { return get_be<std::uint32_t>(); }
   std::uint64_t u64() { return get_be<std::uint64_t>(); }
   void bytes(std::span<std::uint8_t> out) {
-    if (!ensure(out.size())) return;
+    // An empty span may carry a null data(); memcpy must not see it.
+    if (out.empty() || !ensure(out.size())) return;
     std::memcpy(out.data(), data_.data() + pos_, out.size());
     pos_ += out.size();
   }

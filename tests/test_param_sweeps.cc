@@ -23,6 +23,11 @@ struct TopoCase {
   topo::GeneratedTopo (*make)();
 };
 
+// gtest's default printer dumps the struct's bytes, i.e. two pointers that
+// move with every load address, and the listed test name carries the printed
+// parameter; printing the case name keeps that name the same on every run.
+void PrintTo(const TopoCase& c, std::ostream* os) { *os << c.name; }
+
 topo::GeneratedTopo make_case_fat_tree() { return topo::make_fat_tree(4); }
 topo::GeneratedTopo make_case_leaf_spine() {
   return topo::make_leaf_spine(3, 4, 3);

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
+#include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "topo/generators.h"
+#include "util/rng.h"
 
 namespace zen::sim {
 namespace {
@@ -63,6 +68,125 @@ TEST(EventQueue, PastEventsClampToNow) {
   EXPECT_DOUBLE_EQ(q.now(), 5.0);
 }
 
+// ---- event-queue order oracle ----
+
+// A seeded mix of plain and sharded events on a few colliding timestamps.
+// Some callbacks schedule a burst of follow-ons (at the same instant, later,
+// or in the past, which clamps to now), so freed slots are reused and the
+// slot table grows while a callback runs; each callback reads its captured
+// id only after that, so one run from inside the table would read a
+// reused or freed slot. Every event gets an id in scheduling order; the
+// queue must run them in (time, id) order.
+class OrderOracle {
+ public:
+  static constexpr int kInitial = 4000;
+  static constexpr std::uint64_t kInstants = 40;
+  static constexpr std::uint64_t kKeys = 6;
+
+  OrderOracle(std::uint64_t seed, ParallelEngine* engine)
+      : rng_(seed), computes_(kKeys), applies_(kKeys) {
+    queue_.set_engine(engine);
+  }
+
+  void run() {
+    for (int i = 0; i < kInitial; ++i)
+      schedule(static_cast<double>(rng_.next_below(kInstants)));
+    queue_.run();
+  }
+
+  // Ids sorted by (effective time, scheduling order).
+  std::vector<std::uint32_t> reference_order() const {
+    std::vector<std::uint32_t> ids(at_.size());
+    std::iota(ids.begin(), ids.end(), 0u);
+    std::stable_sort(ids.begin(), ids.end(),
+                     [&](std::uint32_t a, std::uint32_t b) { return at_[a] < at_[b]; });
+    return ids;
+  }
+
+  const std::vector<std::uint32_t>& fired() const { return fired_; }
+  std::size_t scheduled() const { return at_.size(); }
+  std::size_t apply_without_compute() const { return apply_without_compute_; }
+  // Per shard key, the ids whose Compute / Apply ran, in the order they ran.
+  const std::vector<std::vector<std::uint32_t>>& computes() const { return computes_; }
+  const std::vector<std::vector<std::uint32_t>>& applies() const { return applies_; }
+  const EventQueue& queue() const { return queue_; }
+
+ private:
+  void schedule(double at) {
+    const auto id = static_cast<std::uint32_t>(at_.size());
+    at_.push_back(std::max(at, queue_.now()));
+    int spawn = 0;
+    if (follow_ons_left_ > 0 && rng_.next_below(4) == 0) {
+      spawn = static_cast<int>(1 + rng_.next_below(8));
+      follow_ons_left_ -= spawn;
+    }
+    if (rng_.next_below(2) == 0) {
+      queue_.schedule_at(at, [this, id, spawn] {
+        follow_on(spawn);
+        fired_.push_back(id);
+      });
+      return;
+    }
+    const std::uint64_t key = rng_.next_below(kKeys);
+    // Compute runs on the key's worker and touches only that key's list.
+    queue_.schedule_sharded_at(
+        at, key,
+        [this, id, key, spawn, computed = false](EventQueue::Phase phase) mutable {
+          if (phase == EventQueue::Phase::kCompute) {
+            computed = true;
+            computes_[key].push_back(id);
+            return;
+          }
+          follow_on(spawn);
+          if (!computed) ++apply_without_compute_;
+          applies_[key].push_back(id);
+          fired_.push_back(id);
+        });
+  }
+
+  void follow_on(int count) {
+    for (int i = 0; i < count; ++i)
+      schedule(queue_.now() + static_cast<double>(rng_.next_below(4)) - 1.0);
+  }
+
+  EventQueue queue_;
+  util::Rng rng_;
+  int follow_ons_left_ = kInitial;
+  std::vector<double> at_;  // per id: effective (clamped) time
+  std::vector<std::uint32_t> fired_;
+  std::vector<std::vector<std::uint32_t>> computes_;
+  std::vector<std::vector<std::uint32_t>> applies_;
+  std::size_t apply_without_compute_ = 0;
+};
+
+void expect_reference_order(const OrderOracle& oracle) {
+  EXPECT_GT(oracle.scheduled(), static_cast<std::size_t>(OrderOracle::kInitial));
+  EXPECT_TRUE(oracle.queue().empty());
+  EXPECT_EQ(oracle.fired(), oracle.reference_order());
+  EXPECT_EQ(oracle.apply_without_compute(), 0u);
+  EXPECT_EQ(oracle.computes(), oracle.applies());
+}
+
+TEST(EventQueueOracle, InlineOrderMatchesReferenceSort) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    OrderOracle oracle(seed, nullptr);
+    oracle.run();
+    expect_reference_order(oracle);
+  }
+}
+
+TEST(EventQueueOracle, TwoWorkerOrderMatchesReferenceSort) {
+  ParallelEngine engine(ParallelEngine::Options{.workers = 2});
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    OrderOracle oracle(seed, &engine);
+    oracle.run();
+    expect_reference_order(oracle);
+    EXPECT_GT(oracle.queue().parallel_events(), 0u);  // slices did form
+  }
+}
+
 // ---- addressing ----
 
 TEST(Addressing, HostMacAndIpAreUniqueAndStable) {
@@ -103,6 +227,9 @@ class TwoHostFixture : public ::testing::Test {
   static SimOptions options() {
     SimOptions opts;
     opts.switch_config.default_miss = dataplane::MissBehavior::Drop;
+    // The static rules never expire; without the sweep an idle network
+    // has an empty event queue, so events().run() returns.
+    opts.expiry_interval_s = 0;
     return opts;
   }
 
@@ -132,6 +259,20 @@ class TwoHostFixture : public ::testing::Test {
     mod.instructions = {openflow::ApplyActions{
         {openflow::OutputAction{openflow::Ports::kFlood, 0xffff}}}};
     ASSERT_TRUE(net_.flow_mod(sw, mod).ok);
+  }
+
+  // Counters of the link direction from `from` to `to`.
+  const LinkDirStats& dir_stats(topo::NodeId from, topo::NodeId to) {
+    const topo::Link* link = net_.topology().link_between(from, to);
+    return net_.link_stats(link->id, link->a == from ? 0 : 1);
+  }
+
+  // Bytes switch `sw` received on the port facing `peer`.
+  std::uint64_t switch_rx_bytes(topo::NodeId sw, topo::NodeId peer) {
+    const std::uint32_t port =
+        net_.topology().link_between(sw, peer)->port_at(sw);
+    const auto reply = net_.switch_at(sw).port_stats({port});
+    return reply.entries.at(0).rx_bytes;
   }
 
   SimNetwork net_;
@@ -196,6 +337,115 @@ TEST_F(TwoHostFixture, QueueOverflowDrops) {
   EXPECT_GT(net_.total_link_drops(), 0u);
   EXPECT_LT(receiver.stats().udp_received, 200u);
   EXPECT_GT(receiver.stats().udp_received, 0u);
+
+  // Drained: each direction counts only the frames that left it, so its
+  // byte count is what the far end received.
+  const LinkDirStats& access = dir_stats(h0_, 1);
+  EXPECT_EQ(access.delivered + access.dropped_queue, 200u);
+  EXPECT_EQ(access.bytes, switch_rx_bytes(1, h0_));
+  EXPECT_EQ(dir_stats(1, 2).bytes, switch_rx_bytes(2, 1));
+  EXPECT_EQ(dir_stats(2, h1_).bytes, receiver.stats().bytes_received);
+  EXPECT_EQ(dir_stats(2, h1_).delivered, receiver.stats().udp_received);
+}
+
+TEST_F(TwoHostFixture, IdlePathCostsOneEventPerLink) {
+  auto& sender = net_.host_at(h0_);
+  auto& receiver = net_.host_at(h1_);
+  sender.add_arp_entry(receiver.ip(), receiver.mac());
+  ASSERT_TRUE(net_.events().empty());
+  sender.send_udp(receiver.ip(), 5000, 5001, 64);
+  // host -> s1 -> s2 -> host: three idle links, one arrival event each
+  // and no transmit-complete events.
+  EXPECT_EQ(net_.events().run(), 3u);
+  EXPECT_EQ(receiver.stats().udp_received, 1u);
+}
+
+TEST_F(TwoHostFixture, BurstFollowsStrictPriorityFifoSchedule) {
+  // A same-instant burst of mixed best-effort and SetQueue(1) frames. The
+  // trunk runs at 1 Gbit/s behind 10 Gbit/s access links, so frames wait
+  // there and the priority ones overtake best-effort backlog.
+  const topo::Link* trunk = net_.topology().link_between(1, 2);
+  net_.topology().mutable_link(trunk->id)->capacity_bps = 1e9;
+  openflow::FlowMod voice;
+  voice.priority = 20;
+  voice.match.eth_type(net::EtherType::kIpv4)
+      .ip_proto(net::IpProto::kTcp)
+      .l4_dst(7000);
+  voice.instructions = {openflow::ApplyActions{
+      {openflow::SetQueueAction{1},
+       openflow::OutputAction{towards_s2_port(1), 0xffff}}}};
+  ASSERT_TRUE(net_.flow_mod(1, voice).ok);
+
+  auto& sender = net_.host_at(h0_);
+  auto& receiver = net_.host_at(h1_);
+  sender.add_arp_entry(receiver.ip(), receiver.mac());
+  const std::vector<std::size_t> payload = {200, 1000, 64,  1400, 300, 800,
+                                            120, 1200, 500, 90,   700, 256};
+  const std::vector<bool> priority = {false, false, true, false, true, false,
+                                      false, true,  false, true, true, false};
+  const std::size_t n = payload.size();
+  std::vector<double> arrived(n, -1);
+  for (const std::uint16_t port : {7000, 7001}) {
+    receiver.set_tcp_sink(port, [&](const net::ParsedPacket& p,
+                                    std::span<const std::uint8_t>) {
+      arrived.at(p.tcp->seq) = net_.now();
+    });
+  }
+  std::vector<std::size_t> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const net::TcpSpec spec{.src_port = 4000,
+                            .dst_port = static_cast<std::uint16_t>(
+                                priority[i] ? 7000 : 7001),
+                            .seq = static_cast<std::uint32_t>(i)};
+    sender.send_tcp(receiver.ip(), spec, payload[i]);
+    bytes[i] = 14 + 20 + 20 + payload[i];
+  }
+  net_.run_until(1.0);
+
+  // Hand-computed schedule of one transmitter: a frame starts at
+  // max(arrival, previous end); when several wait, the priority class goes
+  // first, FIFO within a class. `order` lists frames by arrival.
+  const auto serve = [&](const topo::Link& link, const std::vector<double>& ready,
+                         const std::vector<std::size_t>& order,
+                         const std::vector<bool>& prio) {
+    std::vector<double> out(n);
+    std::vector<std::size_t> waiting = order;
+    double free_at = 0;
+    while (!waiting.empty()) {
+      const double start = std::max(free_at, ready[waiting.front()]);
+      auto next = std::find_if(waiting.begin(), waiting.end(), [&](std::size_t i) {
+        return prio[i] && ready[i] <= start;
+      });
+      if (next == waiting.end()) next = waiting.begin();
+      free_at = start + static_cast<double>(bytes[*next]) / (link.capacity_bps / 8.0);
+      out[*next] = free_at + link.latency_s;
+      waiting.erase(next);
+    }
+    return out;
+  };
+  const auto by_time = [&](const std::vector<double>& t) {
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return t[a] < t[b]; });
+    return order;
+  };
+  const std::vector<bool> all_best_effort(n, false);
+  const std::vector<double> at_s1 =
+      serve(*net_.topology().link_between(h0_, 1), std::vector<double>(n, 0.0),
+            by_time(std::vector<double>(n, 0.0)), all_best_effort);
+  const std::vector<double> at_s2 = serve(*trunk, at_s1, by_time(at_s1), priority);
+  const std::vector<double> at_h1 = serve(*net_.topology().link_between(2, h1_),
+                                          at_s2, by_time(at_s2), all_best_effort);
+  for (std::size_t i = 0; i < n; ++i)
+    EXPECT_DOUBLE_EQ(arrived[i], at_h1[i]) << "frame " << i;
+
+  // The schedule really reordered: frame 2 (priority) overtook frame 1.
+  EXPECT_LT(arrived[2], arrived[1]);
+  const LinkDirStats& trunk_stats = dir_stats(1, 2);
+  EXPECT_EQ(trunk_stats.delivered, n);
+  EXPECT_EQ(trunk_stats.priority_delivered,
+            static_cast<std::uint64_t>(std::count(priority.begin(), priority.end(), true)));
 }
 
 TEST_F(TwoHostFixture, LinkDownDropsTraffic) {
@@ -297,6 +547,41 @@ TEST(SimNetwork, PacketOutInjects) {
   net.packet_out(1, out);
   net.run_until(0.1);
   EXPECT_EQ(h1.stats().udp_received, 1u);
+}
+
+TEST(SimNetwork, DeadLinkDrainsDeepBacklogOnce) {
+  // About 100k minimum-size frames wait on a host's access link when the
+  // link dies under the first one. The drain runs when that frame's
+  // serialisation ends and drops every waiting frame exactly once.
+  constexpr std::uint64_t kFrames = 100'000;
+  SimOptions opts;
+  opts.switch_config.default_miss = dataplane::MissBehavior::Drop;
+  opts.expiry_interval_s = 0;
+  opts.queue_bytes = kFrames * 64.0;
+  SimNetwork net(topo::make_linear(2, 1), opts);
+  const topo::NodeId h0 = net.generated().hosts[0];
+  auto& sender = net.host_at(h0);
+  auto& receiver = net.host_at(net.generated().hosts[1]);
+  sender.add_arp_entry(receiver.ip(), receiver.mac());
+  for (std::uint64_t i = 0; i < kFrames; ++i)
+    sender.send_udp(receiver.ip(), 1, 2, 12);
+
+  const topo::Link* access = net.topology().link_between(h0, 1);
+  const std::uint32_t s1_port = access->port_at(1);
+  // Down while the first frame is on the wire, up again before it lands,
+  // so the switch counts it.
+  net.set_link_admin_up(access->id, false);
+  net.events().schedule_at(1e-6, [&] { net.set_link_admin_up(access->id, true); });
+  net.run_until(1.0);
+
+  const LinkDirStats& stats = net.link_stats(access->id, access->a == h0 ? 0 : 1);
+  EXPECT_EQ(stats.dropped_down, kFrames - 1);
+  EXPECT_EQ(stats.dropped_queue, 0u);
+  EXPECT_EQ(stats.delivered, 1u);
+  EXPECT_EQ(net.total_link_drops(), kFrames - 1);
+  const auto rx = net.switch_at(1).port_stats({s1_port}).entries.at(0);
+  EXPECT_EQ(rx.rx_packets, 1u);
+  EXPECT_EQ(stats.bytes, rx.rx_bytes);
 }
 
 TEST(SimNetwork, ExpirySweepRemovesIdleFlows) {
