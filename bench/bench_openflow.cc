@@ -98,20 +98,17 @@ BENCHMARK(BM_RoundtripPacketOut);
 // Southbound encode throughput, batched vs unbatched. Arg is the batch
 // size staged into one WireArena before it is recycled — the shape of a
 // Southbound flush. Arg 0 is the v1 path (one heap allocation per
-// message via the deprecated encode()), the baseline the arena replaces.
+// message via encode_frame()), the baseline the arena replaces.
 void BM_SouthboundEncodeThroughput(benchmark::State& state) {
   const Message msg{typical_flow_mod()};
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   std::size_t bytes = 0;
   if (batch == 0) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
     for (auto _ : state) {
-      auto wire = encode(msg, 1);
+      auto wire = encode_frame(msg, 1);
       bytes += wire.size();
       benchmark::DoNotOptimize(wire);
     }
-#pragma GCC diagnostic pop
   } else {
     WireArena arena;
     for (auto _ : state) {

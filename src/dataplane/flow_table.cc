@@ -22,115 +22,6 @@ bool outputs_to_port(const FlowEntry& entry, std::uint32_t port) noexcept {
   return false;
 }
 
-FlowTable::~FlowTable() { drop_view(); }
-
-FlowTable::FlowTable(const FlowTable& other) { copy_from(other); }
-
-FlowTable& FlowTable::operator=(const FlowTable& other) {
-  if (this != &other) {
-    drop_view();
-    copy_from(other);
-  }
-  return *this;
-}
-
-FlowTable::FlowTable(FlowTable&& other) noexcept {
-  move_from(std::move(other));
-}
-
-FlowTable& FlowTable::operator=(FlowTable&& other) noexcept {
-  if (this != &other) {
-    drop_view();
-    move_from(std::move(other));
-  }
-  return *this;
-}
-
-void FlowTable::copy_from(const FlowTable& other) {
-  mode_ = other.mode_;
-  max_entries_ = other.max_entries_;
-  eviction_ = other.eviction_;
-  groups_ = other.groups_;
-  probe_order_.clear();  // other's order points into other's groups
-  order_dirty_ = true;
-  count_ = other.count_;
-  lookups_ = other.lookups_;
-  matches_ = other.matches_;
-  concurrent_ = other.concurrent_;
-  view_.store(nullptr, std::memory_order_relaxed);
-  republish_view();
-}
-
-void FlowTable::move_from(FlowTable&& other) noexcept {
-  mode_ = other.mode_;
-  max_entries_ = other.max_entries_;
-  eviction_ = other.eviction_;
-  groups_ = std::move(other.groups_);
-  probe_order_ = std::move(other.probe_order_);
-  order_dirty_ = other.order_dirty_;
-  count_ = other.count_;
-  lookups_ = other.lookups_;
-  matches_ = other.matches_;
-  concurrent_ = other.concurrent_;
-  // Steal the published view: readers resolved it through the old object's
-  // atomic before the move; moving a table with live concurrent readers is
-  // a caller error (same contract as moving any container).
-  view_.store(other.view_.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-  other.view_.store(nullptr, std::memory_order_relaxed);
-  other.concurrent_ = false;
-  other.groups_.clear();
-  other.probe_order_.clear();
-  other.count_ = 0;
-}
-
-void FlowTable::set_concurrent_reads(bool on) {
-  if (concurrent_ == on) return;
-  concurrent_ = on;
-  if (on) republish_view();
-  else drop_view();
-}
-
-void FlowTable::republish_view() noexcept {
-  if (!concurrent_) return;
-  auto* fresh = new ReadView;
-  fresh->groups.reserve(groups_.size());
-  for (const auto& [mask, group] : groups_) fresh->groups.push_back(group);
-  std::stable_sort(fresh->groups.begin(), fresh->groups.end(),
-                   [](const MaskGroup& a, const MaskGroup& b) {
-                     return a.max_priority > b.max_priority;
-                   });
-  ReadView* old = view_.exchange(fresh, std::memory_order_acq_rel);
-  // Readers pinned before the exchange may still be probing `old`.
-  if (old) util::EpochReclaimer::global().retire(old);
-}
-
-void FlowTable::drop_view() noexcept {
-  // Teardown path: no concurrent readers by contract, free immediately.
-  delete view_.exchange(nullptr, std::memory_order_acq_rel);
-}
-
-FlowEntryPtr FlowTable::lookup_concurrent(
-    const net::FlowKey& key, util::EpochReclaimer::Guard&) const {
-  const ReadView* view = view_.load(std::memory_order_acquire);
-  if (view == nullptr) return find_best(key);  // not enabled: single caller
-  // Mirrors find_best's tuple-space walk over the pre-sorted snapshot:
-  // probe groups in max_priority order, stop once no group can outrank the
-  // best hit, first better-than-best entry in a bucket wins.
-  FlowEntryPtr best;
-  for (const MaskGroup& group : view->groups) {
-    if (best && group.max_priority <= best->priority) break;
-    const auto it = group.by_key.find(group.mask.apply(key));
-    if (it == group.by_key.end()) continue;
-    for (const auto& entry : it->second) {
-      if (best && entry->priority <= best->priority) break;
-      best = entry;
-      break;
-    }
-  }
-  return best;
-}
-
 bool FlowTable::contains(const openflow::Match& match,
                          std::uint16_t priority) const noexcept {
   const auto group_it = groups_.find(match.mask());
@@ -213,7 +104,6 @@ FlowEntryPtr FlowTable::add(FlowEntry entry, double now) {
     ++count_;
   }
   group.max_priority = std::max(group.max_priority, ptr->priority);
-  republish_view();
   return ptr;
 }
 
@@ -229,19 +119,12 @@ std::size_t FlowTable::modify(const openflow::Match& match,
                              ? entry->priority == priority && entry->match == match
                              : entry->match.subsumed_by(match);
         if (hit) {
-          if (concurrent_) {
-            // Clone-and-swap: the published view (and any reader already
-            // holding this entry) keeps the old instruction list intact;
-            // the replacement becomes visible at the next republish.
-            entry = std::make_shared<FlowEntry>(*entry);
-          }
           entry->instructions = instructions;
           ++updated;
         }
       }
     }
   }
-  if (updated > 0) republish_view();
   return updated;
 }
 
@@ -269,10 +152,7 @@ std::vector<FlowEntryPtr> FlowTable::remove_if(Pred&& pred) {
   count_ -= removed.size();
   // Erased groups invalidate probe_order_ pointers; rebuilt priorities can
   // reorder it. Removals are rare next to lookups, so just re-sort lazily.
-  if (!removed.empty()) {
-    order_dirty_ = true;
-    republish_view();
-  }
+  if (!removed.empty()) order_dirty_ = true;
   return removed;
 }
 
@@ -288,10 +168,9 @@ std::vector<FlowEntryPtr> FlowTable::remove(const openflow::Match& match,
 
 void FlowTable::rebuild_group_priority(MaskGroup& group) noexcept {
   group.max_priority = 0;
-  for (const auto& [key, bucket] : group.by_key) {
-    if (!bucket.empty())
-      group.max_priority = std::max(group.max_priority, bucket.front()->priority);
-  }
+  // remove_if erases emptied buckets first, so every front() exists.
+  for (const auto& [key, bucket] : group.by_key)
+    group.max_priority = std::max(group.max_priority, bucket.front()->priority);
 }
 
 void FlowTable::refresh_probe_order() const {
@@ -341,53 +220,30 @@ FlowEntryPtr FlowTable::lookup(const net::FlowKey& key) noexcept {
 FlowEntryPtr FlowTable::find_best(const net::FlowKey& key,
                                   LookupExplain* ex) const {
   FlowEntryPtr best;
-
-  if (mode_ == LookupMode::LinearScan) {
-    for (const auto& [mask, group] : groups_) {
-      bool hit = false;
-      for (const auto& [mkey, bucket] : group.by_key) {
-        for (const auto& entry : bucket) {
-          if (!entry->match.matches(key)) continue;
-          hit = true;
-          if (!best || entry->priority > best->priority) best = entry;
-        }
-      }
-      if (ex)
-        ex->masks.push_back({mask_field_count(mask), group.max_priority, hit,
-                             /*pruned=*/false});
+  refresh_probe_order();
+  for (std::size_t i = 0; i < probe_order_.size(); ++i) {
+    const MaskGroup& group = *probe_order_[i];
+    if (best && group.max_priority <= best->priority) {
+      // Probe order is sorted by max_priority desc, so no later group
+      // can beat the best hit either: record the tail as pruned (the
+      // explain contract covers every mask) and stop probing.
+      for (std::size_t j = i; ex && j < probe_order_.size(); ++j)
+        ex->masks.push_back({mask_field_count(probe_order_[j]->mask),
+                             probe_order_[j]->max_priority,
+                             /*hit=*/false, /*pruned=*/true});
+      break;
     }
-  } else {
-    refresh_probe_order();
-    for (std::size_t i = 0; i < probe_order_.size(); ++i) {
-      const MaskGroup& group = *probe_order_[i];
-      if (best && group.max_priority <= best->priority) {
-        // Probe order is sorted by max_priority desc, so no later group
-        // can beat the best hit either: record the tail as pruned (the
-        // explain contract covers every mask) and stop probing.
-        if (ex) {
-          for (std::size_t j = i; j < probe_order_.size(); ++j)
-            ex->masks.push_back({mask_field_count(probe_order_[j]->mask),
-                                 probe_order_[j]->max_priority,
-                                 /*hit=*/false, /*pruned=*/true});
-        }
-        break;
-      }
-      const net::FlowKey masked = group.mask.apply(key);
-      const auto it = group.by_key.find(masked);
-      const bool hit = it != group.by_key.end();
-      if (ex)
-        ex->masks.push_back({mask_field_count(group.mask), group.max_priority,
-                             hit, /*pruned=*/false});
-      if (!hit) continue;
-      // Buckets are priority-sorted; first better-than-best wins.
-      for (const auto& entry : it->second) {
-        if (best && entry->priority <= best->priority) break;
-        best = entry;
-        break;
-      }
-    }
+    const net::FlowKey masked = group.mask.apply(key);
+    const auto it = group.by_key.find(masked);
+    const bool hit = it != group.by_key.end();
+    if (ex)
+      ex->masks.push_back({mask_field_count(group.mask), group.max_priority,
+                           hit, /*pruned=*/false});
+    if (!hit) continue;
+    // Buckets are priority-sorted and never empty: the front is the best.
+    const FlowEntryPtr& top = it->second.front();
+    if (!best || top->priority > best->priority) best = top;
   }
-
   return best;
 }
 
@@ -409,15 +265,18 @@ std::vector<FlowEntryPtr> FlowTable::entries() const {
 }
 
 FlowTable FlowTable::clone() const {
-  FlowTable copy = *this;  // structure + counters; entries still shared
-  // The copied probe order still points into *this* table's groups.
-  copy.probe_order_.clear();
+  FlowTable copy;
+  copy.set_capacity(max_entries_, eviction_);
+  copy.groups_ = groups_;  // structure; the buckets still share the entries
+  // probe_order_ stays empty: a copy would point into *this* table's groups.
   copy.order_dirty_ = true;
+  copy.count_ = count_;
+  copy.lookups_ = lookups_;
+  copy.matches_ = matches_;
   for (auto& [mask, group] : copy.groups_)
     for (auto& [key, bucket] : group.by_key)
       for (FlowEntryPtr& entry : bucket)
         entry = std::make_shared<FlowEntry>(*entry);
-  copy.republish_view();  // the copy-published view shared the old entries
   return copy;
 }
 

@@ -4,20 +4,14 @@
 // approach): entries are grouped by their FlowMask; each group holds a hash
 // map from masked key to the entries sharing that masked value. A lookup
 // probes one hash table per distinct mask and keeps the highest-priority
-// hit. A linear-scan mode exists purely as the ablation baseline for
-// experiment E3.
+// hit. This is the only lookup path; experiment E3's linear-scan baseline
+// is a free function over entries() in its bench and equivalence test.
 //
-// Concurrent reads (opt-in, set_concurrent_reads(true)): every mutation
-// republishes an immutable ReadView snapshot (groups pre-sorted in probe
-// order) through one atomic pointer; lookup_concurrent() walks the view
-// lock-free under the caller's epoch guard while mutators keep working on
-// the private structure. Superseded views are retired through
-// util::EpochReclaimer, and in-place instruction updates switch to
-// clone-and-swap so a reader never observes a half-written entry. The
-// classic single-threaded paths are untouched.
+// Threading: one owner at a time. The sharded engine reads a switch's
+// tables only from the worker that owns its node in the current slice and
+// applies flow_mods between slices (DESIGN.md "Threading model").
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -27,7 +21,6 @@
 #include "openflow/actions.h"
 #include "openflow/constants.h"
 #include "openflow/match.h"
-#include "util/epoch.h"
 
 namespace zen::dataplane {
 
@@ -51,8 +44,6 @@ struct FlowEntry {
 
 using FlowEntryPtr = std::shared_ptr<FlowEntry>;
 
-enum class LookupMode { TupleSpace, LinearScan };
-
 // What a bounded table does when an Add arrives and it is full.
 enum class EvictionPolicy : std::uint8_t {
   Off,         // reject the Add (TableFull)
@@ -63,16 +54,13 @@ enum class EvictionPolicy : std::uint8_t {
 
 class FlowTable {
  public:
-  explicit FlowTable(LookupMode mode = LookupMode::TupleSpace) : mode_(mode) {}
-  // Rule of five: the published ReadView pointer is atomic (not copyable)
-  // and owned (retired/freed on teardown), so all four are hand-rolled.
-  // Copies and moved-from tables start with no published view; the copy
-  // republishes lazily if concurrent reads are on.
-  FlowTable(const FlowTable& other);
-  FlowTable& operator=(const FlowTable& other);
-  FlowTable(FlowTable&& other) noexcept;
-  FlowTable& operator=(FlowTable&& other) noexcept;
-  ~FlowTable();
+  FlowTable() = default;
+  // Move-only: probe_order_ points into groups_, whose nodes a move carries
+  // over but a copy would not. clone() is the one deep copy.
+  FlowTable(const FlowTable&) = delete;
+  FlowTable& operator=(const FlowTable&) = delete;
+  FlowTable(FlowTable&&) noexcept = default;
+  FlowTable& operator=(FlowTable&&) noexcept = default;
 
   // Bounds the table to `max_entries` rules under `policy` (0 = unbounded).
   // Enforcement happens in the caller (Switch::flow_mod) via full()/evict()
@@ -135,21 +123,6 @@ class FlowTable {
   // (the pipeline credits entries explicitly so cached hits count too).
   FlowEntryPtr lookup(const net::FlowKey& key) noexcept;
 
-  // ---- concurrent reads ----
-  // Publishes (and keeps republishing after every mutation) the immutable
-  // read snapshot that lookup_concurrent() walks.
-  void set_concurrent_reads(bool on);
-  bool concurrent_reads() const noexcept { return concurrent_; }
-
-  // Lock-free highest-priority match against the published snapshot.
-  // Requires a live epoch guard (pins the view against retirement); the
-  // returned entry is a shared_ptr and outlives the guard. Does not bump
-  // the lookup/match counters — concurrent readers must not write shared
-  // cachelines. Semantically identical to find_best() as of the last
-  // completed mutation.
-  FlowEntryPtr lookup_concurrent(const net::FlowKey& key,
-                                 util::EpochReclaimer::Guard& guard) const;
-
   // The same search without touching the lookup/match counters — the
   // explain engine's dry-run entry point (also the equivalence oracle any
   // classifier refactor must preserve). `ex`, when non-null, receives the
@@ -167,7 +140,6 @@ class FlowTable {
     probe_order_.clear();
     order_dirty_ = false;
     count_ = 0;
-    republish_view();
   }
 
   std::size_t size() const noexcept { return count_; }
@@ -191,24 +163,7 @@ class FlowTable {
     std::unordered_map<net::FlowKey, std::vector<FlowEntryPtr>> by_key;
   };
 
-  // Immutable published snapshot for lock-free readers: the mask groups,
-  // deep-copied (cheap — buckets share the FlowEntryPtrs) and pre-sorted
-  // in probe order. Never edited after publication; superseded views are
-  // retired to the epoch reclaimer.
-  struct ReadView {
-    std::vector<MaskGroup> groups;  // sorted by max_priority desc
-  };
-
   void rebuild_group_priority(MaskGroup& group) noexcept;
-
-  // Builds + publishes a fresh ReadView and retires the old one. No-op
-  // unless concurrent reads are enabled. Called after every mutation.
-  void republish_view() noexcept;
-  // Unpublishes and frees the current view immediately (teardown / copy
-  // targets; callers guarantee no concurrent readers).
-  void drop_view() noexcept;
-  void copy_from(const FlowTable& other);
-  void move_from(FlowTable&& other) noexcept;
 
   // Rebuilds probe_order_ (groups sorted by max_priority desc) if a
   // mutation invalidated it. Sorted probing lets find_best stop at the
@@ -219,7 +174,6 @@ class FlowTable {
   template <typename Pred>
   std::vector<FlowEntryPtr> remove_if(Pred&& pred);
 
-  LookupMode mode_;
   std::size_t max_entries_ = 0;  // 0 = unbounded
   EvictionPolicy eviction_ = EvictionPolicy::Off;
   std::unordered_map<net::FlowMask, MaskGroup> groups_;
@@ -230,9 +184,6 @@ class FlowTable {
   std::size_t count_ = 0;
   std::uint64_t lookups_ = 0;
   std::uint64_t matches_ = 0;
-  // Concurrent-read state. view_ is only non-null while concurrent_ is on.
-  bool concurrent_ = false;
-  std::atomic<ReadView*> view_{nullptr};
 };
 
 // True if `entry`'s instructions contain an output to `port`.

@@ -108,9 +108,8 @@ Switch::Switch(std::uint64_t datapath_id, SwitchConfig config)
   }
   tables_.reserve(config_.n_tables);
   for (std::uint8_t i = 0; i < config_.n_tables; ++i) {
-    tables_.emplace_back(config_.lookup_mode);
+    tables_.emplace_back();
     tables_.back().set_capacity(config_.table_capacity, config_.eviction);
-    if (config_.concurrent_lookup) tables_.back().set_concurrent_reads(true);
   }
   if (config_.concurrent_lookup)
     cache_.enable_concurrent(config_.cache_ways);

@@ -56,7 +56,6 @@ enum class FailMode : std::uint8_t {
 
 struct SwitchConfig {
   std::uint8_t n_tables = 4;
-  LookupMode lookup_mode = LookupMode::TupleSpace;
   std::size_t cache_capacity = 65536;
   bool cache_enabled = true;
   // What a table-0 miss does when no table-miss entry is installed.
@@ -84,11 +83,12 @@ struct SwitchConfig {
   // fail_timeout_s of controller silence (0 disables detection entirely).
   FailMode fail_mode = FailMode::Secure;
   double fail_timeout_s = 0;
-  // Lock-free lookup structures: sharded megaflow ways (epoch-reclaimed on
-  // version bumps) and flow-table read snapshots. Lets lookups race rule
-  // churn safely when the sharded packet engine drives switches from
-  // worker threads. Off by default: the classic structures are faster
-  // single-threaded and their eviction behavior is the documented one.
+  // Selects the megaflow cache layout: cache_ways lock-free ways
+  // (epoch-reclaimed on version bumps) instead of the classic map. Flow
+  // tables have one layout: under the sharded packet engine a switch has
+  // one owner per slice and flow_mods apply between slices. Off by
+  // default: the classic cache is faster single-threaded and its eviction
+  // behavior is the documented one.
   bool concurrent_lookup = false;
   std::size_t cache_ways = 4;
 };

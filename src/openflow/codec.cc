@@ -5,17 +5,6 @@
 
 namespace zen::openflow {
 
-// Deprecated v1 shim, kept as the equivalence baseline: same bytes as the
-// arena writer, one fresh allocation per message.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-Bytes encode(const Message& msg, Xid xid) { return encode_frame(msg, xid); }
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 util::Result<OwnedMessage> decode(std::span<const std::uint8_t> frame) {
   auto view = parse_frame(frame);
   if (!view.ok()) return util::make_error<OwnedMessage>(view.error());

@@ -1,4 +1,4 @@
-// Framing codec v1 surface: per-message encode shim and stream reassembly.
+// Framing codec v1 surface: whole-frame decode and stream reassembly.
 //
 // Wire layout (all big-endian):
 //   u8  version   (kProtocolVersion)
@@ -8,11 +8,11 @@
 //   ... body
 //
 // The arena-based v2 API lives in wire.h (WireArena / FrameWriter /
-// FrameView / BatchReader); this header keeps the two pieces of the v1
-// surface that still earn their place:
+// FrameView / BatchReader, and encode_frame() for one message); this
+// header keeps the two pieces of the v1 surface that still earn their
+// place:
 //
-//  * encode(): a deprecated one-allocation-per-message shim, kept so the
-//    v1-vs-v2 byte-equivalence suite has something to diff against.
+//  * decode(): one owned message from one whole frame.
 //  * MessageStream: reassembly for a byte-stream transport (TCP-like
 //    split/coalesced delivery). The in-process channel now delivers whole
 //    flushed batches, which BatchReader walks without buffering, but the
@@ -28,10 +28,6 @@
 #include "util/result.h"
 
 namespace zen::openflow {
-
-// Serializes one message with its header into a fresh buffer.
-[[deprecated("use WireArena::append or encode_frame (openflow/wire.h)")]]
-Bytes encode(const Message& msg, Xid xid);
 
 // Decodes exactly one message from `frame` (which must be a whole message).
 util::Result<OwnedMessage> decode(std::span<const std::uint8_t> frame);

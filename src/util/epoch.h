@@ -15,9 +15,9 @@
 // epoch advances only when every pinned reader has caught up to it, which
 // bounds how long garbage can survive to "the slowest current reader".
 //
-// Used by the dataplane's concurrent megaflow ways and the FlowTable
-// read-snapshot path (version-bump clears retire whole tables). The
-// single-threaded simulator never touches this; only concurrent modes do.
+// Used by the dataplane's concurrent megaflow ways (version-bump clears
+// retire whole tables). The single-threaded simulator never touches this;
+// only concurrent modes do.
 #pragma once
 
 #include <atomic>

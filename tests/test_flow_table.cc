@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "dataplane/flow_table.h"
 #include "net/headers.h"
 #include "util/rng.h"
@@ -25,6 +28,18 @@ net::FlowKey ipv4_key(Ipv4Address dst, std::uint16_t l4_dst = 0) {
   key.ipv4_dst = dst.value();
   key.l4_dst = l4_dst;
   return key;
+}
+
+// The E3 baseline and the classifier's equivalence oracle: every entry's
+// match is checked in turn and the highest priority wins.
+FlowEntryPtr linear_scan(const std::vector<FlowEntryPtr>& entries,
+                         const net::FlowKey& key) {
+  FlowEntryPtr best;
+  for (const auto& entry : entries) {
+    if (!entry->match.matches(key)) continue;
+    if (!best || entry->priority > best->priority) best = entry;
+  }
+  return best;
 }
 
 TEST(FlowTable, EmptyTableMissesEverything) {
@@ -223,14 +238,56 @@ TEST(FlowTable, EntriesEnumeratesAll) {
   EXPECT_EQ(table.entries().size(), 7u);
 }
 
+// A clone owns its own mask groups: it must rebuild the probe order rather
+// than walk the source's, and a move (here a vector reallocation) must
+// carry the order along with the groups it points into.
+TEST(FlowTable, CloneAndMoveKeepLookupsValid) {
+  const auto dst = [](Ipv4Address ip, int prefix) {
+    return Match().eth_type(net::EtherType::kIpv4).ipv4_dst(ip, prefix);
+  };
+  const std::vector<std::pair<Match, std::uint16_t>> rules = {
+      {dst(Ipv4Address(10, 0, 0, 1), 32), 30},
+      {dst(Ipv4Address(10, 0, 1, 0), 24), 20},
+      {dst(Ipv4Address(10, 0, 0, 0), 16), 10},
+      {Match().eth_type(net::EtherType::kIpv4).l4_dst(80), 5},
+  };
+  const std::vector<std::pair<net::FlowKey, std::uint16_t>> expected = {
+      {ipv4_key(Ipv4Address(10, 0, 0, 1)), 30},
+      {ipv4_key(Ipv4Address(10, 0, 1, 9)), 20},
+      {ipv4_key(Ipv4Address(10, 0, 7, 7)), 10},
+      {ipv4_key(Ipv4Address(192, 168, 0, 1), 80), 5},
+  };
+  const auto check = [&](FlowTable& table) {
+    for (const auto& [key, priority] : expected) {
+      const auto hit = table.lookup(key);
+      ASSERT_NE(hit, nullptr);
+      EXPECT_EQ(hit->priority, priority);
+    }
+    EXPECT_EQ(table.lookup(ipv4_key(Ipv4Address(192, 168, 0, 1))), nullptr);
+  };
+
+  std::vector<FlowTable> tables;
+  {
+    auto source = std::make_unique<FlowTable>();
+    for (const auto& [match, priority] : rules)
+      source->add(make_entry(match, priority), 0);
+    ASSERT_EQ(source->mask_group_count(), 4u);
+    check(*source);  // builds the source's probe order
+    tables.push_back(source->clone());
+  }  // source destroyed: any pointer the clone kept into it now dangles
+  check(tables.front());
+
+  const std::size_t capacity = tables.capacity();
+  while (tables.capacity() == capacity) tables.emplace_back();
+  check(tables.front());
+}
+
 // Property: tuple-space search and linear scan agree on arbitrary rule sets
 // and arbitrary keys (the correctness claim behind the E3 ablation).
 TEST(FlowTableProperty, TupleSpaceEquivalentToLinearScan) {
   util::Rng rng(2024);
   for (int trial = 0; trial < 20; ++trial) {
-    FlowTable tuple_space(LookupMode::TupleSpace);
-    FlowTable linear(LookupMode::LinearScan);
-
+    FlowTable table;
     for (int i = 0; i < 200; ++i) {
       Match m;
       if (rng.next_bool(0.7)) {
@@ -245,9 +302,9 @@ TEST(FlowTableProperty, TupleSpaceEquivalentToLinearScan) {
       if (rng.next_bool(0.2))
         m.in_port(static_cast<std::uint32_t>(rng.next_below(16)));
       const auto priority = static_cast<std::uint16_t>(rng.next_below(100));
-      tuple_space.add(make_entry(m, priority), 0);
-      linear.add(make_entry(m, priority), 0);
+      table.add(make_entry(m, priority), 0);
     }
+    const auto entries = table.entries();
 
     for (int i = 0; i < 500; ++i) {
       net::FlowKey key;
@@ -257,8 +314,8 @@ TEST(FlowTableProperty, TupleSpaceEquivalentToLinearScan) {
       key.l4_dst = static_cast<std::uint16_t>(rng.next_below(1024));
       key.in_port = static_cast<std::uint32_t>(rng.next_below(16));
 
-      const auto a = tuple_space.lookup(key);
-      const auto b = linear.lookup(key);
+      const auto a = table.lookup(key);
+      const auto b = linear_scan(entries, key);
       ASSERT_EQ(a == nullptr, b == nullptr) << "trial " << trial;
       if (a) {
         EXPECT_EQ(a->priority, b->priority);

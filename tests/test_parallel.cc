@@ -6,10 +6,12 @@
 //   2. Any N produces the same final state (flow tables, host delivery
 //      counts, deterministic metric totals) as inline, because sharded
 //      events apply in seq order regardless of how computes were fanned
-//      out.
-//   3. The concurrent dataplane structures (megaflow ways, flow-table read
-//      views) never leak a stale-version hit and never free memory a
-//      pinned reader can still reach (epoch reclamation).
+//      out. This holds with either megaflow layout, and the flow tables
+//      are plain: a switch has one owner per slice and flow_mods apply
+//      between slices.
+//   3. The concurrent megaflow ways never leak a stale-version hit and
+//      never free memory a pinned reader can still reach (epoch
+//      reclamation).
 //
 // Runs as its own binary so the metric registry can be reset between
 // scenario runs without disturbing other suites. The raw-thread stress
@@ -39,6 +41,12 @@
 
 namespace zen {
 namespace {
+
+#ifndef ZEN_OBS_DISABLED
+constexpr bool kObsEnabled = true;
+#else
+constexpr bool kObsEnabled = false;
+#endif
 
 // ---------------------------------------------------------------------------
 // Epoch reclamation
@@ -200,11 +208,11 @@ TEST(ParallelEngine, PerCoreStatsDrainToGlobalCounters) {
     // Quiesced (post-barrier): the lazy per-core slots drain exactly the
     // single-threaded total into the shared counter.
     EXPECT_EQ(counter_value("zen_engine_tasks_total") - before,
-              static_cast<double>(kTasks));
+              static_cast<double>(kObsEnabled ? kTasks : 0));
   }
   // Destruction flushes residue; the total must not change (no double count).
   EXPECT_EQ(counter_value("zen_engine_tasks_total") - before,
-            static_cast<double>(kTasks));
+            static_cast<double>(kObsEnabled ? kTasks : 0));
 }
 
 TEST(ShardStats, MultiShardConcurrentBumpsSumExactly) {
@@ -228,7 +236,8 @@ TEST(ShardStats, MultiShardConcurrentBumpsSumExactly) {
   std::uint64_t expected = 0;
   for (int t = 0; t < kThreads; ++t) expected += kBumps + t;
   for (auto& t : threads) t.join();
-  EXPECT_EQ(total.value() - before, static_cast<double>(expected));
+  EXPECT_EQ(total.value() - before,
+            static_cast<double>(kObsEnabled ? expected : 0));
 }
 
 TEST(ShardStats, PendingExposesUndrainedDelta) {
@@ -237,11 +246,11 @@ TEST(ShardStats, PendingExposesUndrainedDelta) {
   obs::ShardStats shard;
   shard.bind(0, c);
   shard.bump(0, 7);
-  EXPECT_EQ(shard.pending(0), 7u);
+  EXPECT_EQ(shard.pending(0), kObsEnabled ? 7u : 0u);
   const double before = c.value();
   shard.flush();
   EXPECT_EQ(shard.pending(0), 0u);
-  EXPECT_EQ(c.value() - before, 7.0);
+  EXPECT_EQ(c.value() - before, kObsEnabled ? 7.0 : 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -414,124 +423,26 @@ TEST(MegaflowConcurrent, NoStaleVersionHitEscapesUnderChurn) {
 }
 
 // ---------------------------------------------------------------------------
-// FlowTable: concurrent masked lookups racing add/remove/modify churn
-// ---------------------------------------------------------------------------
-
-TEST(FlowTableConcurrent, LookupsStayCoherentUnderRuleChurn) {
-  auto& ebr = util::EpochReclaimer::global();
-  const std::uint64_t retired_before = ebr.retired_total();
-
-  std::atomic<std::uint64_t> wrong_matches{0};
-  std::atomic<std::uint64_t> lookups_done{0};
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<bool> stop{false};
-  {
-    dataplane::FlowTable table;
-    table.set_concurrent_reads(true);
-
-    std::vector<std::thread> readers;
-    for (int r = 0; r < 3; ++r) {
-      readers.emplace_back([&, r] {
-        util::Rng rng(1000 + static_cast<std::uint64_t>(r));
-        while (!stop.load(std::memory_order_acquire)) {
-          net::FlowKey key;
-          key.eth_type = 0x0800;
-          key.ipv4_dst =
-              0x0a000000 + static_cast<std::uint32_t>(rng.next_below(64));
-          key.l4_dst = static_cast<std::uint16_t>(80 + rng.next_below(4));
-          util::EpochReclaimer::Guard guard(ebr);
-          const auto entry = table.lookup_concurrent(key, guard);
-          lookups_done.fetch_add(1, std::memory_order_relaxed);
-          if (entry) {
-            hits.fetch_add(1, std::memory_order_relaxed);
-            // Whatever snapshot the reader hit, the returned rule must
-            // actually match the key — a torn view would fail this.
-            if (!entry->match.matches(key))
-              wrong_matches.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-
-    // Writer: seeded add/remove/modify churn over masked rules.
-    util::Rng rng(42);
-    for (int i = 0; i < 8000; ++i) {
-      const auto dst =
-          net::Ipv4Address(0x0a000000 +
-                           static_cast<std::uint32_t>(rng.next_below(64)));
-      const int prefix = rng.next_bool(0.5) ? 32 : 26;
-      openflow::Match match;
-      match.eth_type(0x0800).ipv4_dst(dst, prefix);
-      if (rng.next_bool(0.3))
-        match.l4_dst(static_cast<std::uint16_t>(80 + rng.next_below(4)));
-      const auto priority =
-          static_cast<std::uint16_t>(10 * (1 + rng.next_below(3)));
-      const double op = rng.next_double();
-      if (op < 0.6) {
-        dataplane::FlowEntry entry;
-        entry.match = match;
-        entry.priority = priority;
-        openflow::ApplyActions actions;
-        actions.actions.push_back(openflow::OutputAction{
-            static_cast<std::uint32_t>(1 + rng.next_below(8)), 0});
-        entry.instructions.push_back(actions);
-        table.add(std::move(entry), static_cast<double>(i));
-      } else if (op < 0.85) {
-        table.remove(match, priority, /*strict=*/rng.next_bool(0.7));
-      } else {
-        openflow::InstructionList fresh;
-        openflow::ApplyActions actions;
-        actions.actions.push_back(openflow::OutputAction{
-            static_cast<std::uint32_t>(1 + rng.next_below(8)), 0});
-        fresh.push_back(actions);
-        table.modify(match, priority, fresh, /*strict=*/false);
-      }
-    }
-    stop.store(true, std::memory_order_release);
-    for (auto& t : readers) t.join();
-
-    EXPECT_EQ(wrong_matches.load(), 0u);
-    EXPECT_GT(lookups_done.load(), 0u);
-    EXPECT_GT(hits.load(), 0u) << "stress never exercised the hit path";
-
-    // Quiesced: the published snapshot agrees with the authoritative
-    // single-threaded search for every probe point.
-    for (std::uint32_t d = 0; d < 64; ++d) {
-      for (std::uint16_t p = 80; p < 84; ++p) {
-        net::FlowKey key;
-        key.eth_type = 0x0800;
-        key.ipv4_dst = 0x0a000000 + d;
-        key.l4_dst = p;
-        util::EpochReclaimer::Guard guard(ebr);
-        EXPECT_EQ(table.lookup_concurrent(key, guard),
-                  table.find_best(key));
-      }
-    }
-  }
-  for (int i = 0; i < 4 && ebr.pending() > 0; ++i) ebr.collect();
-  EXPECT_EQ(ebr.pending(), 0u);
-  EXPECT_GT(ebr.retired_total(), retired_before)
-      << "churn never retired a read view";
-  EXPECT_EQ(ebr.freed_total(), ebr.retired_total());
-}
-
-// ---------------------------------------------------------------------------
 // Golden determinism: the sharded engine against the single-threaded oracle
 // ---------------------------------------------------------------------------
 
-sim::SimOptions parallel_options(unsigned workers) {
+// `concurrent_lookup` picks the megaflow layout: W lock-free ways, or the
+// classic map that the sharded engine drives under its one-owner rule.
+sim::SimOptions parallel_options(unsigned workers, bool concurrent_lookup) {
   sim::SimOptions opts;
   opts.switch_config.default_miss = dataplane::MissBehavior::Drop;
-  opts.switch_config.concurrent_lookup = workers > 1;
+  opts.switch_config.concurrent_lookup = concurrent_lookup;
   opts.engine_workers = workers;
   return opts;
 }
 
 // The L3RoutingDeterminism golden scenario, parameterized by worker count:
 // byte-for-byte southbound stream (FlowMod/GroupMod, fixed xid).
-std::vector<std::uint8_t> golden_stream(unsigned workers) {
+std::vector<std::uint8_t> golden_stream(unsigned workers,
+                                        bool concurrent_lookup) {
   std::vector<std::uint8_t> stream;
-  sim::SimNetwork net(topo::make_fat_tree(4), parallel_options(workers));
+  sim::SimNetwork net(topo::make_fat_tree(4),
+                      parallel_options(workers, concurrent_lookup));
   controller::Controller ctrl(net);
   ctrl.set_southbound_tap(
       [&](controller::Dpid dpid, const openflow::Message& msg) {
@@ -567,13 +478,16 @@ std::vector<std::uint8_t> golden_stream(unsigned workers) {
 }
 
 TEST(ParallelDeterminism, SouthboundStreamIsByteIdenticalAcrossWorkerCounts) {
-  const std::vector<std::uint8_t> inline_stream = golden_stream(0);
+  const std::vector<std::uint8_t> inline_stream = golden_stream(0, false);
   ASSERT_FALSE(inline_stream.empty());
   // N=1 means "no pool" by contract — same code path as 0.
-  EXPECT_EQ(golden_stream(1), inline_stream);
-  for (const unsigned workers : {2u, 4u, 8u}) {
-    EXPECT_EQ(golden_stream(workers), inline_stream)
-        << "southbound stream diverged at N=" << workers;
+  for (const bool concurrent_lookup : {false, true}) {
+    for (const unsigned workers : {0u, 1u, 2u, 4u, 8u}) {
+      if (workers == 0 && !concurrent_lookup) continue;  // the reference
+      EXPECT_EQ(golden_stream(workers, concurrent_lookup), inline_stream)
+          << "southbound stream diverged at N=" << workers
+          << " concurrent_lookup=" << concurrent_lookup;
+    }
   }
 }
 
@@ -590,11 +504,13 @@ struct RunFingerprint {
   bool operator==(const RunFingerprint&) const = default;
 };
 
-RunFingerprint run_seeded(unsigned workers, std::uint64_t seed) {
+RunFingerprint run_seeded(unsigned workers, bool concurrent_lookup,
+                          std::uint64_t seed) {
   obs::MetricsRegistry::global().reset_values();
   RunFingerprint fp;
   {
-    sim::SimNetwork net(topo::make_fat_tree(4), parallel_options(workers));
+    sim::SimNetwork net(topo::make_fat_tree(4),
+                        parallel_options(workers, concurrent_lookup));
     controller::Controller ctrl(net);
     controller::apps::Discovery::Options disc;
     disc.stop_after_s = 2.5;
@@ -662,27 +578,37 @@ RunFingerprint run_seeded(unsigned workers, std::uint64_t seed) {
 }
 
 TEST(ParallelDeterminism, FinalStateMatchesInlineOnSeed42) {
-  const RunFingerprint inline_fp = run_seeded(0, 42);
+  const RunFingerprint inline_fp = run_seeded(0, false, 42);
   ASSERT_FALSE(inline_fp.rules.empty());
   ASSERT_GT(inline_fp.cache_hits, 0u);
-  for (const unsigned workers : {2u, 4u, 8u}) {
-    const RunFingerprint fp = run_seeded(workers, 42);
-    EXPECT_EQ(fp.rules, inline_fp.rules) << "N=" << workers;
-    EXPECT_EQ(fp.host_udp, inline_fp.host_udp) << "N=" << workers;
-    EXPECT_EQ(fp.metrics, inline_fp.metrics) << "N=" << workers;
-    EXPECT_EQ(fp.cache_hits, inline_fp.cache_hits) << "N=" << workers;
-    EXPECT_EQ(fp.cache_misses, inline_fp.cache_misses) << "N=" << workers;
+  for (const bool concurrent_lookup : {true, false}) {
+    for (const unsigned workers : {2u, 4u, 8u}) {
+      const RunFingerprint fp = run_seeded(workers, concurrent_lookup, 42);
+      SCOPED_TRACE(testing::Message()
+                   << "N=" << workers
+                   << " concurrent_lookup=" << concurrent_lookup);
+      EXPECT_EQ(fp.rules, inline_fp.rules);
+      EXPECT_EQ(fp.host_udp, inline_fp.host_udp);
+      EXPECT_EQ(fp.metrics, inline_fp.metrics);
+      EXPECT_EQ(fp.cache_hits, inline_fp.cache_hits);
+      EXPECT_EQ(fp.cache_misses, inline_fp.cache_misses);
+    }
   }
 }
 
 TEST(ParallelDeterminism, FinalStateMatchesInlineOnSeed7) {
-  const RunFingerprint inline_fp = run_seeded(0, 7);
+  const RunFingerprint inline_fp = run_seeded(0, false, 7);
   ASSERT_FALSE(inline_fp.rules.empty());
-  for (const unsigned workers : {2u, 4u}) {
-    const RunFingerprint fp = run_seeded(workers, 7);
-    EXPECT_EQ(fp.rules, inline_fp.rules) << "N=" << workers;
-    EXPECT_EQ(fp.host_udp, inline_fp.host_udp) << "N=" << workers;
-    EXPECT_EQ(fp.metrics, inline_fp.metrics) << "N=" << workers;
+  for (const bool concurrent_lookup : {true, false}) {
+    for (const unsigned workers : {2u, 4u}) {
+      const RunFingerprint fp = run_seeded(workers, concurrent_lookup, 7);
+      SCOPED_TRACE(testing::Message()
+                   << "N=" << workers
+                   << " concurrent_lookup=" << concurrent_lookup);
+      EXPECT_EQ(fp.rules, inline_fp.rules);
+      EXPECT_EQ(fp.host_udp, inline_fp.host_udp);
+      EXPECT_EQ(fp.metrics, inline_fp.metrics);
+    }
   }
 }
 

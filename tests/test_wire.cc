@@ -2,7 +2,10 @@
 // bundle experimenter messages.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <set>
+#include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "net/headers.h"
@@ -59,6 +62,146 @@ Message random_message(util::Rng& rng) {
       return Message{err};
     }
   }
+}
+
+// One message of every MsgType that has a body (PortMod has none), with
+// non-default fields so each encoder branch writes real values.
+std::vector<Message> one_of_each_type() {
+  const net::MacAddress mac({0x02, 0x00, 0x00, 0x00, 0x00, 0x07});
+  PortDesc port;
+  port.port_no = 2;
+  port.hw_addr = mac;
+  port.name = "eth2";
+  port.link_up = false;
+  port.curr_speed_mbps = 40000;
+  FlowMod mod = sample_mod(100);
+  mod.table_id = 1;
+  mod.idle_timeout = 10;
+  mod.hard_timeout = 30;
+  mod.flags = 1;
+  mod.importance = 5;
+  mod.instructions = {
+      ApplyActions{{SetIpv4DstAction{net::Ipv4Address(10, 0, 0, 9)},
+                    PushVlanAction{42, 3}, OutputAction{7, 128}}},
+      WriteActions{{GroupAction{9}, SetQueueAction{1}}},
+      MeterInstruction{3}, GotoTable{2}};
+  FlowStatsEntry flow_stats;
+  flow_stats.table_id = 1;
+  flow_stats.priority = 100;
+  flow_stats.cookie = 0xc0ffee;
+  flow_stats.packet_count = 12;
+  flow_stats.byte_count = 3456;
+  flow_stats.duration_sec = 78;
+  flow_stats.match = mod.match;
+  flow_stats.instructions = output_to(7);
+  return {
+      Hello{},
+      ErrorMsg{ErrorType::FlowModFailed, flow_mod_failed_code::kTableFull,
+               {0x04, 0x0e, 0x00, 0x08}},
+      EchoRequest{{0xde, 0xad, 0xbe, 0xef}},
+      EchoReply{{0x01, 0x02}, 7},
+      Experimenter{0x005a454e, 2, {0xaa, 0xbb, 0xcc}},
+      FeaturesRequest{},
+      FeaturesReply{0xabc, 256, 4, 3, {port}},
+      mod,
+      PacketIn{42, PacketInReason::Action, 1, 0xc0ffee, 3, 60,
+               {0x11, 0x22, 0x33, 0x44}},
+      PacketOut{kNoBuffer, Ports::kController,
+                {OutputAction{Ports::kFlood, 0xffff}}, {0x55, 0x66}},
+      FlowRemoved{0xc0ffee, 100, FlowRemovedReason::Eviction, 1, 12, 3456,
+                  mod.match},
+      PortStatus{PortReason::Modify, port},
+      GroupMod{GroupModCommand::Add, GroupType::Select, 9,
+               {Bucket{2, Ports::kAny, {OutputAction{1, 0xffff}}},
+                Bucket{1, 3,
+                       {SetEthDstAction{mac}, OutputAction{3, 0xffff}}}}},
+      MeterMod{MeterModCommand::Modify, 3, 10000, 500},
+      BarrierRequest{},
+      BarrierReply{{5, 6, 9}},
+      FlowStatsRequest{kTableAll, Match().eth_type(net::EtherType::kIpv4)},
+      FlowStatsReply{{flow_stats}},
+      PortStatsRequest{2},
+      PortStatsReply{{PortStatsEntry{2, 10, 20, 1000, 2000, 1, 0}}},
+      TableStatsRequest{},
+      TableStatsReply{{TableStatsEntry{0, 5, 100, 80}}},
+      RoleRequest{ControllerRole::Master, 4},
+      RoleReply{ControllerRole::Slave, 4, false},
+  };
+}
+
+// one_of_each_type() framed at kGoldenXid, in the same order, as the
+// retired v1 per-message encoder wrote them.
+constexpr Xid kGoldenXid = 0x01020304;
+constexpr const char* kV1Frames[] = {
+    // Hello
+    "04000000000b0102030404",
+    // Error
+    "040100000016010203040005000200000004040e0008",
+    // EchoRequest
+    "0402000000120102030400000004deadbeef",
+    // EchoReply
+    "040300000018010203040000000201020000000000000007",
+    // Experimenter
+    "04040000001901020304005a454e0000000200000003aabbcc",
+    // FeaturesRequest
+    "04050000000a01020304",
+    // FeaturesReply
+    "040600000040010203040000000000000abc0000010004000000000000000300"
+    "0100000002020000000007657468320000000000000000000000000000009c40",
+    // FlowMod
+    "040e00000065010203040000000000c0ffee0100000a001e0064ffffffffffff"
+    "ffff0001000500040000000000030300080007000a0000020b00006400040000"
+    "03080a00000903002a0300000000070080010002010000000902000000010400"
+    "0000030302",
+    // PacketIn
+    "040a00000026010203040000002a01010000000000c0ffee00000003003c0000"
+    "000411223344",
+    // PacketOut
+    "040d0000002101020304fffffffffffffffd000100fffffffbffff0000000255"
+    "66",
+    // FlowRemoved
+    "040b0000003c010203040000000000c0ffee00640301000000000000000c0000"
+    "000000000d8000040000000000030300080007000a0000020b000064",
+    // PortStatus
+    "040c0000002a0102030402000000020200000000076574683200000000000000"
+    "00000000000000009c40",
+    // GroupMod
+    "040f000000370102030400010000000900020002ffffffff00010000000001ff"
+    "ff0001000000030002060200000000070000000003ffff",
+    // MeterMod
+    "041d0000001f010203040100000003000000000000271000000000000001f4",
+    // BarrierRequest
+    "04140000000a01020304",
+    // BarrierReply
+    "041500000018010203040003000000050000000600000009",
+    // FlowStatsRequest
+    "041e0000001101020304ff000103000800",
+    // FlowStatsReply
+    "041f0000004d0102030400010100640000000000c0ffee000000000000000c00"
+    "00000000000d800000004e00040000000000030300080007000a0000020b0000"
+    "6400010000010000000007ffff",
+    // PortStatsRequest
+    "04200000000e0102030400000002",
+    // PortStatsReply
+    "04210000004001020304000100000002000000000000000a0000000000000014"
+    "00000000000003e800000000000007d000000000000000010000000000000000",
+    // TableStatsRequest
+    "04220000000a01020304",
+    // TableStatsReply
+    "0423000000210102030400010000000005000000000000006400000000000000"
+    "50",
+    // RoleRequest
+    "04240000001301020304010000000000000004",
+    // RoleReply
+    "0425000000140102030402000000000000000400",
+};
+
+Bytes from_hex(std::string_view hex) {
+  Bytes out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  return out;
 }
 
 // ---- arena framing --------------------------------------------------------
@@ -130,21 +273,19 @@ TEST(FrameWriter, StreamedBodyMatchesAppend) {
 // ---- v1/v2 equivalence ----------------------------------------------------
 
 TEST(WireEquivalence, ArenaFramesAreByteIdenticalToV1Encode) {
-  util::Rng rng(2024);
-  for (int i = 0; i < 500; ++i) {
-    const Message msg = random_message(rng);
-    const Xid xid = static_cast<Xid>(rng.next_u64());
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const Bytes v1 = encode(msg, xid);
-#pragma GCC diagnostic pop
-    WireArena arena;
-    const auto v2 = arena.append(msg, xid);
-    ASSERT_EQ(v1.size(), v2.size());
-    EXPECT_EQ(0, std::memcmp(v1.data(), v2.data(), v1.size()));
-    // And the standalone helper agrees with both.
-    EXPECT_EQ(encode_frame(msg, xid), v1);
+  const std::vector<Message> messages = one_of_each_type();
+  ASSERT_EQ(messages.size(), std::size(kV1Frames));
+  std::set<std::size_t> kinds;
+  WireArena arena;  // frames appended back to back, as a flush batches them
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    SCOPED_TRACE(type_name(type_of(messages[i])));
+    kinds.insert(messages[i].index());
+    const Bytes v1 = from_hex(kV1Frames[i]);
+    const auto v2 = arena.append(messages[i], kGoldenXid);
+    EXPECT_EQ(Bytes(v2.begin(), v2.end()), v1);
+    EXPECT_EQ(encode_frame(messages[i], kGoldenXid), v1);
   }
+  EXPECT_EQ(kinds.size(), std::variant_size_v<Message>);
 }
 
 TEST(WireEquivalence, DecodePathsAgree) {
