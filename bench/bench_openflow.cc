@@ -1,12 +1,12 @@
 // E2 — southbound wire-protocol codec throughput.
 //
 // Encode/decode rates for the messages that dominate controller traffic
-// (FlowMod, PacketIn, PacketOut) plus stream reassembly, i.e. the per-flow
-// control-channel cost a controller pays.
+// (FlowMod, PacketIn, PacketOut) plus batched arena encoding, i.e. the
+// per-flow control-channel cost a controller pays.
 #include <benchmark/benchmark.h>
 
 #include "net/headers.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 
 namespace {
 
@@ -122,36 +122,5 @@ void BM_SouthboundEncodeThroughput(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_SouthboundEncodeThroughput)->Arg(0)->Arg(1)->Arg(64);
-
-// Stream reassembly: feed a large batch of messages in MTU-sized chunks,
-// as a TCP southbound channel would deliver them.
-void BM_StreamReassembly(benchmark::State& state) {
-  Bytes wire;
-  const int n = 1000;
-  for (int i = 0; i < n; ++i) {
-    const Bytes one =
-        encode_frame(Message{typical_flow_mod()}, static_cast<std::uint16_t>(i));
-    wire.insert(wire.end(), one.begin(), one.end());
-  }
-  for (auto _ : state) {
-    MessageStream stream;
-    std::size_t pos = 0;
-    int decoded = 0;
-    while (pos < wire.size()) {
-      const std::size_t chunk = std::min<std::size_t>(1460, wire.size() - pos);
-      stream.feed({wire.data() + pos, chunk});
-      pos += chunk;
-      while (auto msg = stream.next()) {
-        benchmark::DoNotOptimize(msg);
-        ++decoded;
-      }
-    }
-    if (decoded != n) state.SkipWithError("lost messages");
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(wire.size()));
-}
-BENCHMARK(BM_StreamReassembly);
 
 }  // namespace

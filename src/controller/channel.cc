@@ -115,9 +115,10 @@ void Channel::flush(Side to) {
     return;
   }
 
-  // Impaired path: each frame runs the v1 fault ladder independently, so a
-  // batch is exactly as exposed to loss/dup/jitter as per-message sends
-  // were. Unjittered survivors coalesce back into one delivery.
+  // Impaired path: each frame runs the fault ladder independently, so a
+  // batch is exactly as exposed to loss/dup/jitter as its frames would be
+  // one flush at a time. Unjittered survivors coalesce back into one
+  // delivery.
   std::vector<std::uint8_t> batch;
   batch.reserve(nbytes);
   openflow::BatchReader reader(arena.bytes());
@@ -127,38 +128,6 @@ void Channel::flush(Side to) {
   }
   arena.clear();
   if (!batch.empty()) deliver_after(to, latency_, std::move(batch));
-}
-
-void Channel::send(Side to, std::vector<std::uint8_t> bytes) {
-  if (!connected_) return;
-  auto& bytes_ctr = (to == Side::B) ? bytes_ab_ : bytes_ba_;
-  auto& msgs_ctr = (to == Side::B) ? msgs_ab_ : msgs_ba_;
-  bytes_ctr += bytes.size();
-  ++msgs_ctr;
-  auto& metrics = ChannelMetrics::get();
-  metrics.messages.inc();
-  metrics.bytes.inc(bytes.size());
-
-  double delay = latency_;
-  if (faulty_) {
-    if (faults_.loss_prob > 0 && fault_rng_.next_bool(faults_.loss_prob)) {
-      ++lost_;
-      metrics.lost.inc();
-      return;
-    }
-    if (faults_.extra_delay_max_s > 0)
-      delay += fault_rng_.next_double() * faults_.extra_delay_max_s;
-    if (faults_.duplicate_prob > 0 &&
-        fault_rng_.next_bool(faults_.duplicate_prob)) {
-      ++duplicated_;
-      metrics.duplicated.inc();
-      double dup_delay = latency_;
-      if (faults_.extra_delay_max_s > 0)
-        dup_delay += fault_rng_.next_double() * faults_.extra_delay_max_s;
-      deliver_after(to, dup_delay, bytes);
-    }
-  }
-  deliver_after(to, delay, std::move(bytes));
 }
 
 }  // namespace zen::controller

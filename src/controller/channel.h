@@ -6,20 +6,19 @@
 // serialized to bytes and re-parsed on the far side — the wire cost is
 // paid, only the kernel is skipped.
 //
-// v2 adds batched staging: each side stages encoded frames into a
-// per-direction WireArena via stage(to).append(...) and hands the whole
-// batch to the transport with flush(to). An unimpaired flush moves the
-// arena's buffer to the peer in one event — zero copies, one scheduler
-// entry for the whole dispatch round. The legacy send(to, bytes) entry
-// point remains for raw-byte transport tests.
+// Each side stages encoded frames into a per-direction WireArena via
+// stage(to).append(...) and hands the whole batch to the transport with
+// flush(to). An unimpaired flush moves the arena's buffer to the peer in
+// one event — zero copies, one scheduler entry for the whole dispatch
+// round.
 //
 // For chaos testing the channel carries optional fault hooks: a seeded
 // per-frame loss probability, a duplication probability, and a uniform
 // extra-delay jitter (which can reorder frames relative to each other —
-// an impaired flush is delivered frame by frame, so the batch is exactly
-// as vulnerable as v1's per-message sends). A disconnected channel
-// (switch crashed / connection torn down) silently drops everything in
-// both directions, like writes to a dead TCP peer.
+// an impaired flush is delivered frame by frame, so every frame of a
+// batch meets the faults on its own). A disconnected channel (switch
+// crashed / connection torn down) silently drops everything in both
+// directions, like writes to a dead TCP peer.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +55,6 @@ class Channel {
     ((side == Side::A) ? to_a_ : to_b_) = std::move(fn);
   }
 
-  // ---- batched v2 path ----
   // Staging arena for frames travelling toward `to`. Callers append
   // encoded frames, then flush(to) hands the batch to the transport.
   openflow::WireArena& stage(Side to) noexcept {
@@ -66,13 +64,10 @@ class Channel {
     return !((to == Side::B) ? stage_b_ : stage_a_).empty();
   }
   // Delivers the staged batch: one in-flight buffer when unimpaired,
-  // per-frame fault draws (loss / extra delay / duplication, same RNG
-  // draw order as v1 per-message sends) when faults are armed. A flush on
-  // a disconnected channel discards the staged frames.
+  // per-frame fault draws (loss, then extra delay, then duplication) when
+  // faults are armed. A flush on a disconnected channel discards the
+  // staged frames.
   void flush(Side to);
-
-  // ---- legacy per-message path (raw-byte transport tests) ----
-  void send(Side to, std::vector<std::uint8_t> bytes);
 
   // ---- fault injection ----
   void set_faults(const ChannelFaults& faults);
@@ -92,8 +87,8 @@ class Channel {
 
  private:
   void deliver_after(Side to, double delay, std::vector<std::uint8_t> bytes);
-  // Runs the v1 fault ladder (loss → extra delay → duplicate) for one
-  // frame; appends survivors delivered at base latency to `batch`.
+  // Runs the fault ladder (loss → extra delay → duplicate) for one frame;
+  // appends survivors delivered at base latency to `batch`.
   void fault_one_frame(Side to, std::span<const std::uint8_t> frame,
                        std::vector<std::uint8_t>& batch);
 

@@ -93,10 +93,9 @@ void Controller::connect(const std::vector<Dpid>& dpids) {
     session.channel =
         std::make_unique<Channel>(net_.events(), options_.channel_latency_s);
     session.southbound = std::make_unique<Southbound>(
-        net_.events(), *session.channel, Channel::Side::A,
-        options_.batch_southbound);
-    session.agent = std::make_unique<SwitchAgent>(
-        net_, dpid, *session.channel, conn_id_, options_.batch_southbound);
+        net_.events(), *session.channel, Channel::Side::A);
+    session.agent =
+        std::make_unique<SwitchAgent>(net_, dpid, *session.channel, conn_id_);
     session.backoff_s = options_.reconnect_backoff_initial_s;
     const Dpid id = dpid;
     session.southbound->set_receiver(
@@ -282,10 +281,6 @@ void Controller::send(Dpid dpid, const openflow::Message& msg,
 
 void Controller::request_chasing_barrier(Dpid dpid) {
   auto& session = sessions_.at(dpid);
-  if (!options_.batch_southbound) {
-    send(dpid, openflow::Message{openflow::BarrierRequest{}}, next_xid(dpid));
-    return;
-  }
   if (session.barrier_scheduled) return;
   session.barrier_scheduled = true;
   // Zero-delay event: fires after the instant's remaining synchronous
@@ -335,12 +330,11 @@ openflow::Xid Controller::send_tracked(Dpid dpid, openflow::Message msg,
   session.pending_completions.emplace(
       xid, PendingCompletion{msg, std::move(done), 1, span});
   // Chase with a barrier; its per-xid ack set resolves this and any
-  // earlier still-pending sends the agent actually processed. Batched
-  // mode arranges the barrier first so its zero-delay event precedes the
-  // flush event and the barrier rides the same batch as the mod.
-  if (options_.batch_southbound) request_chasing_barrier(dpid);
+  // earlier still-pending sends the agent actually processed. The barrier
+  // is arranged first so its zero-delay event precedes the flush event
+  // and the barrier rides the same batch as the mod.
+  request_chasing_barrier(dpid);
   send(dpid, msg, xid);
-  if (!options_.batch_southbound) request_chasing_barrier(dpid);
   arm_completion_timeout(dpid, xid, session.epoch);
   return xid;
 }
@@ -391,9 +385,8 @@ void Controller::arm_completion_timeout(Dpid dpid, openflow::Xid xid,
                 ack);
           }
         }
-        if (options_.batch_southbound) request_chasing_barrier(dpid);
+        request_chasing_barrier(dpid);
         send(dpid, pc.msg, new_xid);
-        if (!options_.batch_southbound) request_chasing_barrier(dpid);
         session.pending_completions.emplace(new_xid, std::move(pc));
         arm_completion_timeout(dpid, new_xid, epoch);
       });

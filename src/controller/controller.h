@@ -4,8 +4,9 @@
 // wire channels (see channel.h): connect_all() performs the
 // Hello/FeaturesRequest handshake, after which events flow northbound to
 // registered Apps and apps program switches through the typed southbound
-// API (flow_mod, packet_out, ...), each call crossing the wire as encoded
-// bytes with channel latency applied.
+// API (flow_mod, packet_out, ...). Each call stages an encoded frame, and
+// the frames of one simulation instant cross the wire as one flushed
+// batch with channel latency applied (see southbound.h).
 //
 // App dispatch: PacketIns run through the app chain in registration order
 // until one returns true ("handled"). Other events are broadcast to all.
@@ -23,7 +24,7 @@
 #include "controller/southbound.h"
 #include "controller/switch_agent.h"
 #include "net/packet.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 #include "sim/network.h"
 
 namespace zen::obs {
@@ -113,13 +114,6 @@ class Controller {
     // Controller-side processing delay applied before dispatching an
     // incoming message to apps (models scheduling + deserialization).
     double processing_delay_s = 10e-6;
-
-    // Batched southbound flushes: sends issued at the same simulation
-    // instant coalesce into one wire delivery, and one chasing barrier
-    // covers every tracked send of the instant. false reproduces v1
-    // one-frame-per-delivery framing byte for byte (golden determinism
-    // mode).
-    bool batch_southbound = true;
 
     // ---- transactional southbound ----
     // A tracked send (one with a completion callback) is followed by a
@@ -327,8 +321,8 @@ class Controller {
     std::unique_ptr<SwitchAgent> agent;
     openflow::Xid next_xid = 1;
     // True while a coalesced chasing barrier is scheduled for the current
-    // simulation instant (batched mode: one barrier acks every tracked
-    // send of the instant).
+    // simulation instant (one barrier acks every tracked send of the
+    // instant).
     bool barrier_scheduled = false;
     bool features_known = false;
     // Liveness: alive flips true on FeaturesReply, false when heartbeats
@@ -357,9 +351,8 @@ class Controller {
   void register_app_metrics(const App& app);
   void on_batch(Dpid dpid, std::vector<openflow::OwnedMessage> batch);
   void dispatch(Dpid dpid, openflow::OwnedMessage owned);
-  // Arranges the barrier that chases tracked sends. Batched mode schedules
-  // it once per instant (zero-delay event, staged into the same flush);
-  // unbatched mode sends it immediately.
+  // Arranges the barrier that chases tracked sends: scheduled once per
+  // instant (zero-delay event, staged into the same flush).
   void request_chasing_barrier(Dpid dpid);
   openflow::Xid send_bundle_attempt(
       Dpid dpid, std::shared_ptr<const std::vector<openflow::Message>> members,

@@ -3,11 +3,10 @@
 namespace zen::controller {
 
 Southbound::Southbound(sim::EventQueue& events, Channel& channel,
-                       Channel::Side self, bool batch)
+                       Channel::Side self)
     : events_(events),
       channel_(channel),
-      peer_(self == Channel::Side::A ? Channel::Side::B : Channel::Side::A),
-      batch_(batch) {
+      peer_(self == Channel::Side::A ? Channel::Side::B : Channel::Side::A) {
   channel_.set_receiver(self, [this](std::vector<std::uint8_t> bytes) {
     on_raw(std::move(bytes));
   });
@@ -15,10 +14,6 @@ Southbound::Southbound(sim::EventQueue& events, Channel& channel,
 
 void Southbound::send(const openflow::Message& msg, openflow::Xid xid) {
   channel_.stage(peer_).append(msg, xid);
-  if (!batch_) {
-    channel_.flush(peer_);
-    return;
-  }
   if (in_rx_) return;  // flushed synchronously when on_raw returns
   if (!flush_scheduled_) {
     flush_scheduled_ = true;
@@ -28,8 +23,6 @@ void Southbound::send(const openflow::Message& msg, openflow::Xid xid) {
     });
   }
 }
-
-void Southbound::flush() { channel_.flush(peer_); }
 
 void Southbound::on_raw(std::vector<std::uint8_t> bytes) {
   if (gate_ && !gate_()) return;

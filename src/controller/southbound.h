@@ -1,18 +1,16 @@
 // Southbound: the one typed send/receive facade over a Channel side.
 //
-// Every controller- and agent-side message now flows through here — no
+// Every controller- and agent-side message flows through here — no
 // caller outside this directory touches raw bytes. Sends stage encoded
 // frames into the channel's per-direction arena; the flush policy is:
 //
-//  * batch mode off: every send flushes immediately (v1-identical framing,
-//    one frame per delivery — the golden determinism mode).
-//  * batch mode on, sending from inside a receive callback: frames stage
-//    until the callback returns, then flush as one batch (request/reply
-//    coalescing with no extra scheduler event).
-//  * batch mode on, sending from an ordinary event: a zero-delay flush
-//    event is scheduled once; every send from the same simulation instant
-//    joins the batch (the EventQueue fires equal-time events FIFO, so the
-//    flush runs after the instant's remaining dispatches have staged).
+//  * sending from inside a receive callback: frames stage until the
+//    callback returns, then flush as one batch (request/reply coalescing
+//    with no extra scheduler event).
+//  * sending from an ordinary event: a zero-delay flush event is
+//    scheduled once; every send from the same simulation instant joins
+//    the batch (the EventQueue fires equal-time events FIFO, so the flush
+//    runs after the instant's remaining dispatches have staged).
 //
 // On receive, the delivered batch is decoded frame-by-frame and handed to
 // the receiver as one vector per delivery. A malformed frame stops that
@@ -37,8 +35,7 @@ class Southbound {
   using BatchFn = std::function<void(std::vector<openflow::OwnedMessage>)>;
 
   // `self` is the side this endpoint occupies; sends go to the other side.
-  Southbound(sim::EventQueue& events, Channel& channel, Channel::Side self,
-             bool batch);
+  Southbound(sim::EventQueue& events, Channel& channel, Channel::Side self);
 
   void set_receiver(BatchFn fn) { rx_ = std::move(fn); }
   // Evaluated once per delivered batch before decoding; returning false
@@ -51,10 +48,6 @@ class Southbound {
   // Stages one message toward the peer and arranges a flush per the
   // policy above.
   void send(const openflow::Message& msg, openflow::Xid xid);
-  // Flushes any staged frames now.
-  void flush();
-
-  bool batching() const noexcept { return batch_; }
 
  private:
   void on_raw(std::vector<std::uint8_t> bytes);
@@ -62,7 +55,6 @@ class Southbound {
   sim::EventQueue& events_;
   Channel& channel_;
   Channel::Side peer_;
-  bool batch_;
   bool in_rx_ = false;           // inside on_raw: defer flush to its end
   bool flush_scheduled_ = false; // a zero-delay flush event is pending
   BatchFn rx_;

@@ -32,11 +32,11 @@ using SpanKey = obs::SpanTracer::Key;
 }  // namespace
 
 SwitchAgent::SwitchAgent(sim::SimNetwork& net, topo::NodeId dpid,
-                         Channel& channel, std::uint64_t conn_id, bool batch)
+                         Channel& channel, std::uint64_t conn_id)
     : net_(net),
       dpid_(dpid),
       conn_id_(conn_id),
-      southbound_(net.events(), channel, Channel::Side::B, batch) {
+      southbound_(net.events(), channel, Channel::Side::B) {
   southbound_.set_batch_gate([this] {
     if (net_.switch_up(dpid_)) return true;
     // A crashed switch neither processes nor buffers: the agent process

@@ -16,7 +16,7 @@
 #include "controller/southbound.h"
 #include "obs/span.h"
 #include "openflow/bundle.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 #include "sim/network.h"
 
 namespace zen::controller {
@@ -24,10 +24,9 @@ namespace zen::controller {
 class SwitchAgent {
  public:
   // `conn_id` identifies this controller connection for role arbitration
-  // (multi-controller redundancy). `batch` selects the southbound flush
-  // policy (batch=false reproduces v1 one-frame-per-delivery framing).
+  // (multi-controller redundancy).
   SwitchAgent(sim::SimNetwork& net, topo::NodeId dpid, Channel& channel,
-              std::uint64_t conn_id = 0, bool batch = true);
+              std::uint64_t conn_id = 0);
 
   // Called by the network seam when the datapath raises an event.
   // Role filtering: slaves receive PortStatus only.

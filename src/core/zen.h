@@ -4,7 +4,7 @@
 //   util/        logging, clock, buffers, rng, histograms
 //   obs/         metrics registry + virtual-time tracing (zen_obs)
 //   net/         addresses, headers, packets, flow keys
-//   openflow/    southbound wire protocol (match, actions, messages, codec)
+//   openflow/    southbound wire protocol (match, actions, messages, wire)
 //   dataplane/   software switch: flow/group/meter tables, megaflow cache
 //   topo/        topology graph, path algorithms, generators
 //   sim/         discrete-event network substrate
@@ -37,7 +37,7 @@
 #include "intent/intent_manager.h"
 #include "net/packet.h"
 #include "obs/obs.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 #include "sim/engine.h"
 #include "sim/fault_injector.h"
 #include "sim/network.h"

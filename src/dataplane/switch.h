@@ -28,8 +28,8 @@
 #include "dataplane/meter_table.h"
 #include "dataplane/packet_rewrite.h"
 #include "obs/shard_stats.h"
-#include "openflow/codec.h"
 #include "openflow/table_status.h"
+#include "openflow/wire.h"
 #include "util/token_bucket.h"
 
 namespace zen::telemetry {

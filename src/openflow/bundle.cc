@@ -10,6 +10,9 @@ Experimenter make_envelope(std::uint32_t exp_type) {
   Experimenter msg;
   msg.experimenter_id = kBundleExperimenterId;
   msg.exp_type = exp_type;
+  // Room for the leading u32 fields. Also keeps GCC 12 from a false
+  // -Wstringop-overflow on the first write into an empty payload.
+  msg.payload.reserve(8);
   return msg;
 }
 
@@ -66,12 +69,8 @@ util::Result<BundleMessage> parse_bundle_message(const Experimenter& msg) {
       add.bundle_id = r.u32();
       add.member_index = r.u32();
       if (!r.ok()) return util::make_error<BundleMessage>("bundle: truncated");
-      auto view = parse_frame(r.rest());
-      if (!view.ok()) {
-        return util::make_error<BundleMessage>("bundle: bad member frame: " +
-                                               view.error());
-      }
-      auto member = decode_frame(view.value());
+      // The member frame must fill the rest of the payload exactly.
+      auto member = decode(r.rest());
       if (!member.ok()) {
         return util::make_error<BundleMessage>("bundle: bad member: " +
                                                member.error());

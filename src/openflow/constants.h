@@ -12,7 +12,7 @@ namespace zen::openflow {
 
 inline constexpr std::uint8_t kProtocolVersion = 0x04;
 inline constexpr std::size_t kHeaderSize = 10;
-// Hard upper bound on a framed message; protects stream reassembly from
+// Hard upper bound on a framed message; protects frame parsing from
 // corrupt length fields.
 inline constexpr std::size_t kMaxMessageSize = 1 << 20;
 

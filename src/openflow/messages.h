@@ -1,7 +1,7 @@
 // Southbound protocol messages.
 //
-// Each message is a value struct with encode_body/decode_body; the codec
-// (codec.h) adds the common header and stream framing. Message is
+// Each message is a value struct with encode_body/decode_body; the wire
+// layer (wire.h) adds the common header and batch framing. Message is
 // the closed variant the control plane and switch agent dispatch on.
 #pragma once
 
@@ -272,7 +272,7 @@ using Message =
 MsgType type_of(const Message& msg) noexcept;
 std::string type_name(MsgType type);
 
-// Body (past the common header) serialization; used by the codec.
+// Body (past the common header) serialization; used by wire.h.
 void encode_body(const Message& msg, util::ByteWriter& w);
 util::Result<Message> decode_body(MsgType type, util::ByteReader& r);
 

@@ -36,6 +36,16 @@ Bytes encode_frame(const Message& msg, Xid xid) {
   return arena.take();
 }
 
+util::Result<OwnedMessage> decode(std::span<const std::uint8_t> frame) {
+  auto view = parse_frame(frame);
+  if (!view.ok()) return util::make_error<OwnedMessage>(view.error());
+  if (view.value().frame.size() != frame.size())
+    return util::make_error<OwnedMessage>(util::format(
+        "length mismatch: header says %zu, frame is %zu",
+        view.value().frame.size(), frame.size()));
+  return decode_frame(view.value());
+}
+
 util::Result<FrameView> parse_frame(std::span<const std::uint8_t> data) {
   if (data.size() < kHeaderSize)
     return util::make_error<FrameView>(util::format(

@@ -1,7 +1,11 @@
-// Southbound wire API v2: zero-copy arena framing.
+// Southbound wire protocol: zero-copy arena framing.
 //
-// v1 (codec.h) produced one heap-allocated Bytes per encoded message and
-// one owned byte vector per decoded one. v2 replaces both directions:
+// Wire layout (all big-endian):
+//   u8  version   (kProtocolVersion)
+//   u8  type      (MsgType)
+//   u32 length    (header + body, bytes)
+//   u32 xid       (transaction id, echoed in replies)
+//   ... body
 //
 //  * Encode: a WireArena owns one contiguous buffer of length-prefixed
 //    frames. FrameWriter appends a frame's header, exposes a ByteWriter
@@ -15,14 +19,14 @@
 //    is the ownership escape hatch: it materializes a typed Message,
 //    copying only the variable-length fields the message actually owns
 //    (packet payloads, ack lists). BatchReader walks the frames of one
-//    flushed batch in order.
+//    flushed batch in order; decode() is the one-shot form for a buffer
+//    that holds exactly one whole frame.
 //
 // Error isolation at batch boundaries: a malformed or truncated frame
 // yields exactly one error from BatchReader::next() and ends iteration of
 // *that batch only* — bytes cannot be resynchronized past a corrupt
 // length, but the next delivered batch starts a fresh reader, so one bad
-// frame never poisons the connection (unlike MessageStream, which models
-// a byte-stream transport and must poison).
+// frame never poisons the connection.
 //
 // Arena lifetime rules: FrameViews (and the spans inside decoded
 // Experimenter payloads before materialization) borrow the receive
@@ -128,6 +132,10 @@ util::Result<OwnedMessage> decode_frame(const FrameView& view);
 // one-shot frames (e.g. a bundle member embedded in an Experimenter).
 Bytes encode_frame(const Message& msg, Xid xid);
 
+// Decodes exactly one message from `frame`, which must be one whole frame:
+// a header length that disagrees with the buffer size is an error.
+util::Result<OwnedMessage> decode(std::span<const std::uint8_t> frame);
+
 // Iterates the complete frames of one flushed batch, front to back. A bad
 // frame yields one error result and ends iteration of this batch (no
 // resync past a corrupt length); earlier frames were already yielded.
@@ -140,7 +148,6 @@ class BatchReader {
   std::optional<util::Result<FrameView>> next();
 
   std::size_t frames_yielded() const noexcept { return frames_; }
-  std::size_t remaining_bytes() const noexcept { return rest_.size(); }
 
  private:
   std::span<const std::uint8_t> rest_;

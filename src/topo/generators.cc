@@ -19,7 +19,9 @@ class PortAllocator {
 
 void attach_host(GeneratedTopo& g, PortAllocator& ports, NodeId host_id,
                  NodeId sw, double link_bps, double latency_s) {
-  g.topo.add_node(host_id, NodeKind::Host, "h" + std::to_string(host_id - kHostIdBase));
+  g.topo.add_node(
+      host_id, NodeKind::Host,
+      std::string("h").append(std::to_string(host_id - kHostIdBase)));
   const std::uint32_t sw_port = ports.next(sw);
   const std::uint32_t host_port = 1;
   g.topo.add_link(host_id, host_port, sw, sw_port, link_bps, latency_s);
@@ -33,7 +35,8 @@ GeneratedTopo make_chain(std::size_t n_switches, std::size_t hosts_per_switch,
   PortAllocator ports;
   for (std::size_t i = 0; i < n_switches; ++i) {
     const NodeId id = i + 1;
-    g.topo.add_node(id, NodeKind::Switch, "s" + std::to_string(id));
+    g.topo.add_node(id, NodeKind::Switch,
+                    std::string("s").append(std::to_string(id)));
     g.switches.push_back(id);
   }
   for (std::size_t i = 0; i + 1 < n_switches; ++i) {
@@ -155,7 +158,8 @@ GeneratedTopo make_jellyfish(std::size_t n_switches, std::size_t degree,
   PortAllocator ports;
   for (std::size_t i = 0; i < n_switches; ++i) {
     const NodeId id = i + 1;
-    g.topo.add_node(id, NodeKind::Switch, "j" + std::to_string(id));
+    g.topo.add_node(id, NodeKind::Switch,
+                    std::string("j").append(std::to_string(id)));
     g.switches.push_back(id);
   }
 
@@ -243,7 +247,8 @@ GeneratedTopo make_random_connected(std::size_t n_switches, double avg_degree,
   PortAllocator ports;
   for (std::size_t i = 0; i < n_switches; ++i) {
     const NodeId id = i + 1;
-    g.topo.add_node(id, NodeKind::Switch, "s" + std::to_string(id));
+    g.topo.add_node(id, NodeKind::Switch,
+                    std::string("s").append(std::to_string(id)));
     g.switches.push_back(id);
   }
   // Random spanning tree: attach node i to a random earlier node.

@@ -9,7 +9,8 @@ bool Topology::add_node(NodeId id, NodeKind kind, std::string name) {
   Node n;
   n.id = id;
   n.kind = kind;
-  n.name = name.empty() ? ("n" + std::to_string(id)) : std::move(name);
+  n.name = name.empty() ? std::string("n").append(std::to_string(id))
+                         : std::move(name);
   nodes_.emplace(id, std::move(n));
   adjacency_.try_emplace(id);
   ++version_;

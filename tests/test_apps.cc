@@ -9,7 +9,7 @@
 #include "controller/apps/stats_monitor.h"
 #include "controller/apps/te_installer.h"
 #include "controller/controller.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 #include "te/allocation.h"
 #include "te/demand.h"
 #include "topo/generators.h"
@@ -447,14 +447,14 @@ TEST_F(EcmpGroupFixture, RoutesWithdrawnWhenDestinationUnreachable) {
 // Two identical controller+fabric runs must emit byte-identical FlowMod /
 // GroupMod streams: recompute order, ECMP bucket order and group ids are
 // all deterministic functions of the topology, never of hash-map iteration
-// order or allocation history.
+// order or allocation history. The stream is also pinned to a committed
+// size and FNV-1a-64 digest, so any change to what the controller sends
+// shows up here.
 TEST(L3RoutingDeterminism, GoldenSouthboundStream) {
-  auto run_once = [](bool batch_southbound) {
+  auto run_once = [] {
     std::vector<std::uint8_t> stream;
     sim::SimNetwork net(topo::make_fat_tree(4), drop_miss_options());
-    Controller::Options copts;
-    copts.batch_southbound = batch_southbound;
-    Controller ctrl(net, copts);
+    Controller ctrl(net);
     ctrl.set_southbound_tap([&](Dpid dpid, const openflow::Message& msg) {
       const auto type = openflow::type_of(msg);
       if (type != openflow::MsgType::FlowMod &&
@@ -485,16 +485,16 @@ TEST(L3RoutingDeterminism, GoldenSouthboundStream) {
     return stream;
   };
 
-  const std::vector<std::uint8_t> first = run_once(true);
-  const std::vector<std::uint8_t> second = run_once(true);
+  const std::vector<std::uint8_t> first = run_once();
+  const std::vector<std::uint8_t> second = run_once();
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
 
-  // Batched flushes change only the framing on the wire, never what the
-  // controller decides to send: turning batching off must reproduce the
-  // exact same southbound stream.
-  const std::vector<std::uint8_t> unbatched = run_once(false);
-  EXPECT_EQ(first, unbatched);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a-64
+  for (const std::uint8_t byte : first)
+    digest = (digest ^ byte) * 0x100000001b3ULL;
+  EXPECT_EQ(first.size(), 37392u);
+  EXPECT_EQ(digest, 0xd7f89733cf6e8f25ULL) << std::hex << "0x" << digest;
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 #include "controller/switch_agent.h"
 #include "core/network.h"
 #include "intent/intent_manager.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 #include "sim/fault_injector.h"
 #include "sim/network.h"
 #include "topo/generators.h"
@@ -130,21 +130,31 @@ TEST(FaultInjector, AvoidsHostFacingTargets) {
 
 // ---- channel pathologies --------------------------------------------------
 
+// Stages `msg` toward the switch side and flushes it.
+void flush_to_switch(Channel& channel, const openflow::Message& msg,
+                     openflow::Xid xid) {
+  channel.stage(Channel::Side::B).append(msg, xid);
+  channel.flush(Channel::Side::B);
+}
+
 TEST(ChannelFaults, DeterministicPerSeed) {
   const auto run = [](std::uint64_t seed) {
     sim::SimNetwork net(topo::make_linear(1, 1), drop_miss_options());
     Channel channel(net.events(), 1e-4);
     std::uint64_t delivered = 0;
-    channel.set_receiver(Channel::Side::B, [&](std::vector<std::uint8_t>) { ++delivered; });
+    channel.set_receiver(Channel::Side::B, [&](std::vector<std::uint8_t> bytes) {
+      openflow::BatchReader reader(bytes);
+      while (auto frame = reader.next())
+        if (frame->ok()) ++delivered;
+    });
     ChannelFaults faults;
     faults.loss_prob = 0.3;
     faults.duplicate_prob = 0.3;
     faults.extra_delay_max_s = 1e-3;
     faults.seed = seed;
     channel.set_faults(faults);
-    for (int i = 0; i < 200; ++i)
-      channel.send(Channel::Side::B, openflow::encode_frame(
-          openflow::Message{openflow::EchoRequest{}}, 1));
+    for (openflow::Xid xid = 0; xid < 200; ++xid)
+      flush_to_switch(channel, openflow::Message{openflow::EchoRequest{}}, xid);
     net.run_until(1.0);
     return std::tuple{delivered, channel.messages_lost(),
                       channel.messages_duplicated()};
@@ -154,29 +164,78 @@ TEST(ChannelFaults, DeterministicPerSeed) {
   EXPECT_NE(run(9), run(10));
 }
 
+TEST(ChannelFaults, ImpairedFlushAccountsForEveryFrame) {
+  // One impaired flush runs the loss / jitter / duplication ladder per
+  // frame: each frame arrives zero, one or two times, and the channel's
+  // fault counters account for every outcome.
+  sim::SimNetwork net(topo::make_linear(1, 1), drop_miss_options());
+  Channel channel(net.events(), 1e-4);
+  constexpr openflow::Xid kFrames = 64;
+  std::vector<int> arrivals(kFrames, 0);  // by xid
+  channel.set_receiver(Channel::Side::B, [&](std::vector<std::uint8_t> bytes) {
+    openflow::BatchReader reader(bytes);
+    while (auto frame = reader.next()) {
+      ASSERT_TRUE(frame->ok());
+      ++arrivals.at(frame->value().xid);
+    }
+  });
+  ChannelFaults faults;
+  faults.loss_prob = 0.25;
+  faults.duplicate_prob = 0.25;
+  faults.extra_delay_max_s = 1e-3;
+  faults.seed = 17;
+  channel.set_faults(faults);
+  for (openflow::Xid xid = 0; xid < kFrames; ++xid)
+    channel.stage(Channel::Side::B)
+        .append(openflow::Message{openflow::EchoRequest{}}, xid);
+  channel.flush(Channel::Side::B);
+  net.run_until(1.0);
+
+  EXPECT_EQ(channel.flushes(), 1u);
+  EXPECT_EQ(channel.messages_a_to_b(), kFrames);
+  std::uint64_t never = 0;
+  std::uint64_t twice = 0;
+  for (openflow::Xid xid = 0; xid < kFrames; ++xid) {
+    EXPECT_LE(arrivals[xid], 2) << "xid " << xid;
+    never += arrivals[xid] == 0;
+    twice += arrivals[xid] == 2;
+  }
+  EXPECT_EQ(never, channel.messages_lost());
+  EXPECT_EQ(twice, channel.messages_duplicated());
+  // The seed exercises both fault rungs.
+  EXPECT_GT(never, 0u);
+  EXPECT_GT(twice, 0u);
+}
+
 bool acks(const openflow::BarrierReply& reply, std::uint32_t xid) {
   return std::find(reply.acked.begin(), reply.acked.end(), xid) !=
          reply.acked.end();
+}
+
+// Decodes every frame the switch side sends back into `replies`.
+void collect_replies(Channel& channel,
+                     std::vector<openflow::OwnedMessage>& replies) {
+  const auto on_batch = [&replies](std::vector<std::uint8_t> bytes) {
+    openflow::BatchReader reader(bytes);
+    while (auto frame = reader.next()) {
+      if (!frame->ok()) break;
+      auto msg = openflow::decode_frame(frame->value());
+      if (msg.ok()) replies.push_back(std::move(msg).value());
+    }
+  };
+  channel.set_receiver(Channel::Side::A, on_batch);
 }
 
 TEST(BarrierAck, OvertakingBarrierDoesNotFalseAck) {
   sim::SimNetwork net(topo::make_linear(1, 1), drop_miss_options());
   Channel channel(net.events(), 1e-4);
   SwitchAgent agent(net, 1, channel);
-
   std::vector<openflow::OwnedMessage> replies;
-  openflow::MessageStream stream;
-  channel.set_receiver(Channel::Side::A, [&](std::vector<std::uint8_t> bytes) {
-    stream.feed(bytes);
-    while (auto next = stream.next())
-      if (next->ok()) replies.push_back(std::move(next->value()));
-  });
+  collect_replies(channel, replies);
 
   // The mod (xid 10) is lost or delayed; its chasing barrier (xid 11)
   // reaches the agent first. The reply's ack set must not cover 10.
-  channel.send(
-      Channel::Side::B,
-      openflow::encode_frame(openflow::Message{openflow::BarrierRequest{}}, 11));
+  flush_to_switch(channel, openflow::Message{openflow::BarrierRequest{}}, 11);
   net.run_until(0.01);
   ASSERT_EQ(replies.size(), 1u);
   const auto* first = std::get_if<openflow::BarrierReply>(&replies[0].msg);
@@ -184,11 +243,9 @@ TEST(BarrierAck, OvertakingBarrierDoesNotFalseAck) {
   EXPECT_FALSE(acks(*first, 10));
   EXPECT_EQ(net.switch_at(1).table(0).size(), 0u);
 
-  // The mod lands late; the next barrier's ack covers it.
-  channel.send(Channel::Side::B, openflow::encode_frame(openflow::Message{simple_mod(5)}, 10));
-  channel.send(
-      Channel::Side::B,
-      openflow::encode_frame(openflow::Message{openflow::BarrierRequest{}}, 12));
+  // The mod lands late, batched with the next barrier, whose ack covers it.
+  channel.stage(Channel::Side::B).append(openflow::Message{simple_mod(5)}, 10);
+  flush_to_switch(channel, openflow::Message{openflow::BarrierRequest{}}, 12);
   net.run_until(0.02);
   ASSERT_EQ(replies.size(), 2u);
   const auto* second = std::get_if<openflow::BarrierReply>(&replies[1].msg);
@@ -205,20 +262,12 @@ TEST(BarrierAck, DeliveredLaterModDoesNotVouchForEarlierLostMod) {
   sim::SimNetwork net(topo::make_linear(1, 1), drop_miss_options());
   Channel channel(net.events(), 1e-4);
   SwitchAgent agent(net, 1, channel);
-
   std::vector<openflow::OwnedMessage> replies;
-  openflow::MessageStream stream;
-  channel.set_receiver(Channel::Side::A, [&](std::vector<std::uint8_t> bytes) {
-    stream.feed(bytes);
-    while (auto next = stream.next())
-      if (next->ok()) replies.push_back(std::move(next->value()));
-  });
+  collect_replies(channel, replies);
 
   // Mod A (xid 10) never sent — the channel ate it. Mod B + barrier land.
-  channel.send(Channel::Side::B, openflow::encode_frame(openflow::Message{simple_mod(7)}, 12));
-  channel.send(
-      Channel::Side::B,
-      openflow::encode_frame(openflow::Message{openflow::BarrierRequest{}}, 13));
+  channel.stage(Channel::Side::B).append(openflow::Message{simple_mod(7)}, 12);
+  flush_to_switch(channel, openflow::Message{openflow::BarrierRequest{}}, 13);
   net.run_until(0.01);
   ASSERT_EQ(replies.size(), 1u);
   const auto* reply = std::get_if<openflow::BarrierReply>(&replies[0].msg);
@@ -234,21 +283,13 @@ TEST(BarrierAck, RejectedModIsNotAcked) {
   sim::SimNetwork net(topo::make_linear(1, 1), drop_miss_options());
   Channel channel(net.events(), 1e-4);
   SwitchAgent agent(net, 1, channel);
-
   std::vector<openflow::OwnedMessage> replies;
-  openflow::MessageStream stream;
-  channel.set_receiver(Channel::Side::A, [&](std::vector<std::uint8_t> bytes) {
-    stream.feed(bytes);
-    while (auto next = stream.next())
-      if (next->ok()) replies.push_back(std::move(next->value()));
-  });
+  collect_replies(channel, replies);
 
   openflow::FlowMod bad = simple_mod(7);
   bad.table_id = 99;  // invalid table
-  channel.send(Channel::Side::B, openflow::encode_frame(openflow::Message{bad}, 20));
-  channel.send(
-      Channel::Side::B,
-      openflow::encode_frame(openflow::Message{openflow::BarrierRequest{}}, 21));
+  channel.stage(Channel::Side::B).append(openflow::Message{bad}, 20);
+  flush_to_switch(channel, openflow::Message{openflow::BarrierRequest{}}, 21);
   net.run_until(0.01);
   ASSERT_EQ(replies.size(), 2u);  // ErrorMsg then BarrierReply
   const auto* reply = std::get_if<openflow::BarrierReply>(&replies[1].msg);
@@ -262,16 +303,10 @@ TEST(BarrierAck, RebootClearsAcksFromThePreviousBoot) {
   sim::SimNetwork net(topo::make_linear(1, 1), drop_miss_options());
   Channel channel(net.events(), 1e-4);
   SwitchAgent agent(net, 1, channel);
-
   std::vector<openflow::OwnedMessage> replies;
-  openflow::MessageStream stream;
-  channel.set_receiver(Channel::Side::A, [&](std::vector<std::uint8_t> bytes) {
-    stream.feed(bytes);
-    while (auto next = stream.next())
-      if (next->ok()) replies.push_back(std::move(next->value()));
-  });
+  collect_replies(channel, replies);
 
-  channel.send(Channel::Side::B, openflow::encode_frame(openflow::Message{simple_mod(5)}, 30));
+  flush_to_switch(channel, openflow::Message{simple_mod(5)}, 30);
   net.run_until(0.01);
   ASSERT_EQ(net.switch_at(1).table(0).size(), 1u);
 
@@ -279,9 +314,7 @@ TEST(BarrierAck, RebootClearsAcksFromThePreviousBoot) {
   net.reboot_switch(1);
   ASSERT_EQ(net.switch_at(1).table(0).size(), 0u);
 
-  channel.send(
-      Channel::Side::B,
-      openflow::encode_frame(openflow::Message{openflow::BarrierRequest{}}, 31));
+  flush_to_switch(channel, openflow::Message{openflow::BarrierRequest{}}, 31);
   net.run_until(0.02);
   ASSERT_EQ(replies.size(), 1u);
   const auto* reply = std::get_if<openflow::BarrierReply>(&replies[0].msg);

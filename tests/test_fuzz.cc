@@ -5,8 +5,9 @@
 
 #include "dataplane/switch.h"
 #include "net/packet.h"
-#include "openflow/codec.h"
+#include "openflow/bundle.h"
 #include "openflow/table_status.h"
+#include "openflow/wire.h"
 #include "util/rng.h"
 
 namespace zen {
@@ -117,44 +118,99 @@ TEST(FuzzCodec, CorruptedValidMessagesIntoDecoder) {
   SUCCEED();
 }
 
-TEST(FuzzCodec, StreamWithGarbageInterleaved) {
+TEST(FuzzCodec, BatchWithGarbageTailKeepsValidPrefix) {
+  // Valid frames with random bytes behind them: the reader yields the
+  // valid frames intact and in order, then at most one error for the
+  // garbage, then nothing — within a bounded number of calls.
   util::Rng rng(0x57e4);
   for (int trial = 0; trial < 200; ++trial) {
-    openflow::MessageStream stream;
-    // Valid prefix...
-    const auto good =
-        openflow::encode_frame(openflow::Message{openflow::BarrierRequest{}}, 1);
-    stream.feed(good);
-    int decoded = 0;
-    while (auto msg = stream.next()) {
-      EXPECT_TRUE(msg->ok());
-      ++decoded;
+    SCOPED_TRACE(trial);
+    openflow::WireArena arena;
+    std::vector<net::Bytes> payloads(1 + rng.next_below(4));
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      payloads[i] = random_bytes(rng, 16);
+      arena.append(openflow::Message{openflow::EchoRequest{payloads[i]}},
+                   static_cast<openflow::Xid>(i + 1));
     }
-    EXPECT_EQ(decoded, 1);
-    // ...then garbage: the stream must poison (or wait for more bytes),
-    // never crash or spin.
-    stream.feed(random_bytes(rng, 64));
-    int safety = 0;
-    while (auto msg = stream.next()) {
-      if (++safety > 100) FAIL() << "stream spinning";
-      if (!msg->ok()) break;
+    openflow::Bytes batch = arena.take();
+    const net::Bytes garbage = random_bytes(rng, 64);
+    batch.insert(batch.end(), garbage.begin(), garbage.end());
+
+    openflow::BatchReader reader(batch);
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      auto frame = reader.next();
+      ASSERT_TRUE(frame.has_value() && frame->ok());
+      EXPECT_EQ(frame->value().xid, i + 1);
+      auto msg = openflow::decode_frame(frame->value());
+      ASSERT_TRUE(msg.ok());
+      const auto* echo = std::get_if<openflow::EchoRequest>(&msg.value().msg);
+      ASSERT_NE(echo, nullptr);
+      EXPECT_EQ(echo->data, payloads[i]);
     }
+    // Non-empty garbage costs exactly one error; then the batch ends.
+    auto tail = reader.next();
+    EXPECT_EQ(tail.has_value(), !garbage.empty());
+    EXPECT_FALSE(tail.has_value() && tail->ok());
+    EXPECT_FALSE(reader.next().has_value());
+    EXPECT_EQ(reader.frames_yielded(), payloads.size());
   }
 }
 
 TEST(FuzzCodec, LengthFieldAttacksBounded) {
-  // A frame claiming an enormous length must poison the stream, not
-  // allocate or wait forever.
-  openflow::MessageStream stream;
+  // A frame claiming an enormous length must end its batch with one
+  // error, not allocate or wait for bytes that never come.
   openflow::Bytes evil = {openflow::kProtocolVersion,
                           0 /*Hello*/,
                           0x7f, 0xff, 0xff, 0xff,  // length = 2 GiB
                           0, 0, 0, 1};
-  stream.feed(evil);
-  auto msg = stream.next();
+  openflow::BatchReader reader(evil);
+  auto msg = reader.next();
   ASSERT_TRUE(msg.has_value());
   EXPECT_FALSE(msg->ok());
-  EXPECT_TRUE(stream.poisoned());
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(reader.frames_yielded(), 0u);
+}
+
+// ---- bundle member frames ----
+
+TEST(FuzzBundle, CorruptedBundleAddPayloadsNeverCrash) {
+  openflow::FlowMod mod;
+  mod.priority = 9;
+  mod.match.eth_type(net::EtherType::kIpv4).l4_dst(443);
+  mod.instructions = openflow::output_to(2);
+  const openflow::Experimenter add =
+      openflow::make_bundle_add(4, 1, openflow::Message{mod});
+  ASSERT_TRUE(openflow::parse_bundle_message(add).ok());
+
+  // Every strict prefix is rejected as truncated...
+  for (std::size_t len = 0; len < add.payload.size(); ++len) {
+    openflow::Experimenter cut = add;
+    cut.payload.resize(len);
+    EXPECT_FALSE(openflow::parse_bundle_message(cut).ok())
+        << "accepted truncation to " << len << " bytes";
+  }
+
+  // ...so are bytes trailing the member frame...
+  for (std::size_t extra = 1; extra <= 16; ++extra) {
+    openflow::Experimenter fat = add;
+    fat.payload.insert(fat.payload.end(), extra, 0xee);
+    EXPECT_FALSE(openflow::parse_bundle_message(fat).ok())
+        << "accepted " << extra << " trailing bytes";
+  }
+
+  // ...and random byte flips anywhere in the payload never crash.
+  util::Rng rng(0xb0d1e);
+  for (int i = 0; i < 20000; ++i) {
+    openflow::Experimenter msg = add;
+    const int flips = 1 + static_cast<int>(rng.next_below(6));
+    for (int f = 0; f < flips; ++f) {
+      const std::size_t pos = rng.next_below(msg.payload.size());
+      msg.payload[pos] = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    auto parsed = openflow::parse_bundle_message(msg);
+    (void)parsed;
+  }
+  SUCCEED();
 }
 
 // ---- dataplane under random rules and traffic ----

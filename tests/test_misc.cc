@@ -8,6 +8,7 @@
 #include "controller/channel.h"
 #include "controller/controller.h"
 #include "intent/intent_manager.h"
+#include "openflow/wire.h"
 #include "topo/generators.h"
 
 namespace zen {
@@ -16,35 +17,53 @@ namespace {
 // ---- Channel ----
 
 TEST(Channel, DeliversInOrderAfterLatency) {
+  using controller::Channel;
   sim::EventQueue events;
-  controller::Channel channel(events, 0.001);
-  std::vector<int> received;
-  channel.set_receiver(controller::Channel::Side::B, [&](std::vector<std::uint8_t> bytes) {
-    received.push_back(bytes[0]);
+  Channel channel(events, 0.001);
+  std::vector<openflow::Xid> received;
+  channel.set_receiver(Channel::Side::B, [&](std::vector<std::uint8_t> bytes) {
+    openflow::BatchReader reader(bytes);
+    while (auto frame = reader.next()) {
+      ASSERT_TRUE(frame->ok());
+      received.push_back(frame->value().xid);
+    }
   });
-  channel.send(controller::Channel::Side::B, {1});
-  channel.send(controller::Channel::Side::B, {2});
-  channel.send(controller::Channel::Side::B, {3});
+  const openflow::Message echo{openflow::EchoRequest{}};
+  channel.stage(Channel::Side::B).append(echo, 1);
+  channel.stage(Channel::Side::B).append(echo, 2);
+  channel.flush(Channel::Side::B);
+  channel.stage(Channel::Side::B).append(echo, 3);
+  channel.flush(Channel::Side::B);
   EXPECT_TRUE(received.empty());  // latency not yet elapsed
   events.run_until(0.0005);
   EXPECT_TRUE(received.empty());
   events.run_until(0.002);
-  EXPECT_EQ(received, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(received, (std::vector<openflow::Xid>{1, 2, 3}));
+  EXPECT_EQ(channel.flushes(), 2u);
 }
 
 TEST(Channel, CountsBytesAndMessagesPerDirection) {
+  using controller::Channel;
   sim::EventQueue events;
-  controller::Channel channel(events, 0.0);
-  channel.set_receiver(controller::Channel::Side::A, [](std::vector<std::uint8_t>) {});
-  channel.set_receiver(controller::Channel::Side::B, [](std::vector<std::uint8_t>) {});
-  channel.send(controller::Channel::Side::B, {1, 2, 3});
-  channel.send(controller::Channel::Side::B, {4});
-  channel.send(controller::Channel::Side::A, {5, 6});
+  Channel channel(events, 0.0);
+  channel.set_receiver(Channel::Side::A, [](std::vector<std::uint8_t>) {});
+  channel.set_receiver(Channel::Side::B, [](std::vector<std::uint8_t>) {});
+  const openflow::Message echo{openflow::EchoRequest{{1, 2, 3}}};
+  const openflow::Message barrier{openflow::BarrierRequest{}};
+  channel.stage(Channel::Side::B).append(echo, 1);
+  channel.stage(Channel::Side::B).append(barrier, 2);
+  channel.flush(Channel::Side::B);
+  channel.stage(Channel::Side::A).append(barrier, 3);
+  channel.flush(Channel::Side::A);
+  channel.flush(Channel::Side::A);  // nothing staged: not a flush
   events.run(100);
+  const std::size_t a_to_b = openflow::encode_frame(echo, 1).size() +
+                             openflow::encode_frame(barrier, 2).size();
   EXPECT_EQ(channel.messages_a_to_b(), 2u);
-  EXPECT_EQ(channel.bytes_a_to_b(), 4u);
+  EXPECT_EQ(channel.bytes_a_to_b(), a_to_b);
   EXPECT_EQ(channel.messages_b_to_a(), 1u);
-  EXPECT_EQ(channel.bytes_b_to_a(), 2u);
+  EXPECT_EQ(channel.bytes_b_to_a(), openflow::encode_frame(barrier, 3).size());
+  EXPECT_EQ(channel.flushes(), 2u);
 }
 
 // ---- SimHost ARP pending-queue cap ----

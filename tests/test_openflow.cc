@@ -2,8 +2,7 @@
 
 #include "net/headers.h"
 #include "net/packet.h"
-#include "openflow/codec.h"
-#include "util/rng.h"
+#include "openflow/wire.h"
 
 namespace zen::openflow {
 namespace {
@@ -346,90 +345,6 @@ TEST(Codec, RejectsLengthMismatch) {
   Bytes wire = encode_frame(Message{Hello{}}, 1);
   wire.push_back(0);
   EXPECT_FALSE(decode(wire).ok());
-}
-
-// ---- stream framing ----
-
-TEST(Stream, ReassemblesByteByByte) {
-  const Bytes a = encode_frame(Message{EchoRequest{{1, 2, 3}}}, 10);
-  const Bytes b = encode_frame(Message{BarrierRequest{}}, 11);
-  Bytes joined = a;
-  joined.insert(joined.end(), b.begin(), b.end());
-
-  MessageStream stream;
-  std::vector<std::uint16_t> xids;
-  for (const std::uint8_t byte : joined) {
-    stream.feed(std::span(&byte, 1));
-    while (auto msg = stream.next()) {
-      ASSERT_TRUE(msg->ok());
-      xids.push_back(msg->value().xid);
-    }
-  }
-  ASSERT_EQ(xids.size(), 2u);
-  EXPECT_EQ(xids[0], 10);
-  EXPECT_EQ(xids[1], 11);
-}
-
-TEST(Stream, HandlesManyMessagesInOneFeed) {
-  MessageStream stream;
-  Bytes all;
-  const int n = 100;
-  for (int i = 0; i < n; ++i) {
-    const Bytes one = encode_frame(Message{EchoRequest{{static_cast<std::uint8_t>(i)}}},
-                             static_cast<std::uint16_t>(i));
-    all.insert(all.end(), one.begin(), one.end());
-  }
-  stream.feed(all);
-  int count = 0;
-  while (auto msg = stream.next()) {
-    ASSERT_TRUE(msg->ok());
-    EXPECT_EQ(msg->value().xid, count);
-    ++count;
-  }
-  EXPECT_EQ(count, n);
-}
-
-TEST(Stream, PoisonsOnCorruptHeader) {
-  MessageStream stream;
-  const Bytes junk(kHeaderSize, 0xff);
-  stream.feed(junk);
-  auto msg = stream.next();
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_FALSE(msg->ok());
-  EXPECT_TRUE(stream.poisoned());
-  EXPECT_FALSE(stream.next().has_value());
-}
-
-TEST(Stream, RandomizedRoundtripProperty) {
-  util::Rng rng(99);
-  MessageStream stream;
-  std::vector<Bytes> sent;
-  Bytes wire;
-  for (int i = 0; i < 200; ++i) {
-    Bytes data(rng.next_below(64));
-    for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next_u64());
-    const Bytes one =
-        encode_frame(Message{EchoRequest{data}}, static_cast<std::uint16_t>(i));
-    sent.push_back(data);
-    wire.insert(wire.end(), one.begin(), one.end());
-  }
-  // Feed in random-sized chunks.
-  std::size_t pos = 0;
-  std::size_t received = 0;
-  while (pos < wire.size()) {
-    const std::size_t chunk =
-        std::min<std::size_t>(1 + rng.next_below(40), wire.size() - pos);
-    stream.feed(std::span(wire.data() + pos, chunk));
-    pos += chunk;
-    while (auto msg = stream.next()) {
-      ASSERT_TRUE(msg->ok());
-      const auto* echo = std::get_if<EchoRequest>(&msg->value().msg);
-      ASSERT_NE(echo, nullptr);
-      EXPECT_EQ(echo->data, sent[received]);
-      ++received;
-    }
-  }
-  EXPECT_EQ(received, sent.size());
 }
 
 }  // namespace

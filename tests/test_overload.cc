@@ -47,7 +47,7 @@ Switch bounded_switch(std::size_t capacity, EvictionPolicy policy) {
     openflow::PortDesc port;
     port.port_no = static_cast<std::uint32_t>(i);
     port.hw_addr = net::MacAddress::from_u64(static_cast<std::uint64_t>(i));
-    port.name = "p" + std::to_string(i);
+    port.name = std::string("p").append(std::to_string(i));
     sw.add_port(port);
   }
   return sw;

@@ -31,7 +31,7 @@
 #include "dataplane/megaflow_cache.h"
 #include "obs/metrics.h"
 #include "obs/shard_stats.h"
-#include "openflow/codec.h"
+#include "openflow/wire.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"

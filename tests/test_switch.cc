@@ -23,7 +23,7 @@ Switch make_switch(int n_ports = 4, SwitchConfig config = {}) {
     openflow::PortDesc port;
     port.port_no = static_cast<std::uint32_t>(i);
     port.hw_addr = MacAddress::from_u64(static_cast<std::uint64_t>(0x100 + i));
-    port.name = "p" + std::to_string(i);
+    port.name = std::string("p").append(std::to_string(i));
     sw.add_port(port);
   }
   return sw;

@@ -2,6 +2,7 @@
 // bundle experimenter messages.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <string_view>
@@ -10,7 +11,6 @@
 
 #include "net/headers.h"
 #include "openflow/bundle.h"
-#include "openflow/codec.h"
 #include "openflow/wire.h"
 #include "util/rng.h"
 
@@ -386,6 +386,76 @@ TEST(BatchReader, FuzzedRandomCutsNeverCrashAndKeepPrefix) {
     // A cut can only lose the tail, never a fully-delivered prefix frame.
     EXPECT_EQ(ok_frames, reader.frames_yielded());
   }
+}
+
+// ---- stream framing -------------------------------------------------------
+
+TEST(Stream, HandlesManyMessagesInOneFeed) {
+  // 100 frames in one batch come out of one reader, in order.
+  WireArena arena;
+  const int n = 100;
+  for (int i = 0; i < n; ++i) {
+    arena.append(Message{EchoRequest{{static_cast<std::uint8_t>(i)}}},
+                 static_cast<Xid>(i));
+  }
+  BatchReader reader(arena.bytes());
+  int count = 0;
+  while (auto frame = reader.next()) {
+    ASSERT_TRUE(frame->ok());
+    EXPECT_EQ(frame->value().xid, static_cast<Xid>(count));
+    auto msg = decode_frame(frame->value());
+    ASSERT_TRUE(msg.ok());
+    const auto* echo = std::get_if<EchoRequest>(&msg.value().msg);
+    ASSERT_NE(echo, nullptr);
+    EXPECT_EQ(echo->data, Bytes{static_cast<std::uint8_t>(count)});
+    ++count;
+  }
+  EXPECT_EQ(count, n);
+  EXPECT_EQ(reader.frames_yielded(), static_cast<std::size_t>(n));
+}
+
+TEST(Stream, RandomizedRoundtripProperty) {
+  // 200 random EchoRequests in one arena, delivered as batches split at
+  // random frame boundaries: each batch yields exactly its own frames, in
+  // order, payloads intact.
+  util::Rng rng(99);
+  WireArena arena;
+  std::vector<Bytes> sent;
+  std::vector<std::size_t> starts;  // byte offset of each frame
+  for (Xid i = 0; i < 200; ++i) {
+    Bytes data(rng.next_below(64));
+    for (auto& byte : data) byte = static_cast<std::uint8_t>(rng.next_u64());
+    starts.push_back(arena.size());
+    arena.append(Message{EchoRequest{data}}, i);
+    sent.push_back(std::move(data));
+  }
+  starts.push_back(arena.size());
+
+  std::size_t first = 0;
+  std::size_t yielded = 0;
+  while (first < sent.size()) {
+    const std::size_t n =
+        std::min<std::size_t>(1 + rng.next_below(40), sent.size() - first);
+    BatchReader reader(arena.bytes().subspan(
+        starts[first], starts[first + n] - starts[first]));
+    std::size_t got = 0;
+    while (auto frame = reader.next()) {
+      ASSERT_TRUE(frame->ok());
+      ASSERT_LT(got, n);
+      EXPECT_EQ(frame->value().xid, first + got);
+      auto msg = decode_frame(frame->value());
+      ASSERT_TRUE(msg.ok());
+      const auto* echo = std::get_if<EchoRequest>(&msg.value().msg);
+      ASSERT_NE(echo, nullptr);
+      EXPECT_EQ(echo->data, sent[first + got]);
+      ++got;
+    }
+    EXPECT_EQ(got, n);
+    EXPECT_EQ(reader.frames_yielded(), n);
+    yielded += reader.frames_yielded();
+    first += n;
+  }
+  EXPECT_EQ(yielded, arena.frame_count());
 }
 
 // ---- bundle messages ------------------------------------------------------
