@@ -179,18 +179,20 @@ int main() {
   std::printf("\n");
 
   // ---- five slowest traces ----
+  std::printf("\nslowest traces (virtual ms, spans started/ended):\n");
+#ifndef ZEN_OBS_DISABLED
   auto all_traces = tracer.finished();
   std::sort(all_traces.begin(), all_traces.end(),
             [](const auto& x, const auto& y) {
               return x.end_s - x.start_s > y.end_s - y.start_s;
             });
-  std::printf("\nslowest traces (virtual ms, spans started/ended):\n");
   for (std::size_t i = 0; i < all_traces.size() && i < 5; ++i) {
     const auto& t = all_traces[i];
     std::printf("  #%zu %-12s %8.3f ms  %d/%d%s\n", i + 1, t.name.c_str(),
                 (t.end_s - t.start_s) * 1e3, t.spans_started, t.spans_ended,
                 t.complete ? "" : "  (abandoned/incomplete)");
   }
+#endif
   std::printf("  (%llu traces abandoned during the storm — punts whose "
               "answer the lossy channel ate)\n",
               static_cast<unsigned long long>(tracer.abandoned_traces()));

@@ -580,7 +580,18 @@ openflow::Xid Controller::send_bundle_attempt(
       std::move(retry_done), span);
 }
 
+template <typename Fn, typename Failed>
+bool Controller::fail_if_down(Dpid dpid, Fn& done, Failed failed) {
+  const Session& session = sessions_.at(dpid);
+  if (!session.ever_up || session.alive) return false;
+  events().schedule_in(0, [done = std::move(done), failed] {
+    if (done) done(failed);
+  });
+  return true;
+}
+
 void Controller::barrier(Dpid dpid, BarrierFn done) {
+  if (fail_if_down(dpid, done, false)) return;
   const openflow::Xid xid = next_xid(dpid);
   sessions_.at(dpid).pending_barriers[xid] = std::move(done);
   send(dpid, openflow::Message{openflow::BarrierRequest{}}, xid);
@@ -589,6 +600,7 @@ void Controller::barrier(Dpid dpid, BarrierFn done) {
 void Controller::request_flow_stats(Dpid dpid,
                                     const openflow::FlowStatsRequest& req,
                                     FlowStatsFn done) {
+  if (fail_if_down(dpid, done, nullptr)) return;
   const openflow::Xid xid = next_xid(dpid);
   sessions_.at(dpid).pending_flow_stats[xid] = std::move(done);
   send(dpid, openflow::Message{req}, xid);
@@ -597,6 +609,7 @@ void Controller::request_flow_stats(Dpid dpid,
 void Controller::request_port_stats(Dpid dpid,
                                     const openflow::PortStatsRequest& req,
                                     PortStatsFn done) {
+  if (fail_if_down(dpid, done, nullptr)) return;
   const openflow::Xid xid = next_xid(dpid);
   sessions_.at(dpid).pending_port_stats[xid] = std::move(done);
   send(dpid, openflow::Message{req}, xid);
@@ -604,16 +617,10 @@ void Controller::request_port_stats(Dpid dpid,
 
 void Controller::request_role(Dpid dpid, openflow::ControllerRole role,
                               std::uint64_t generation_id, RoleFn done) {
+  // Callers aggregating an election need the verdict of a known-down
+  // switch now, not when heartbeats notice.
+  if (fail_if_down(dpid, done, nullptr)) return;
   auto& session = sessions_.at(dpid);
-  if (session.ever_up && !session.alive) {
-    // Known-down switch: answer with the null-reply path immediately (but
-    // asynchronously) instead of letting the request rot until heartbeats
-    // notice — callers aggregating an election need the verdict.
-    events().schedule_in(0, [done = std::move(done)] {
-      if (done) done(nullptr);
-    });
-    return;
-  }
   const openflow::Xid xid = next_xid(dpid);
   if (done) session.pending_roles[xid] = std::move(done);
   openflow::RoleRequest req;

@@ -197,7 +197,8 @@ class Controller {
 
   // Barrier/stats/role callbacks have an error path: when the switch is
   // declared down before the reply arrives they fire with ok=false
-  // (respectively a null reply) instead of silently never firing.
+  // (respectively a null reply) instead of silently never firing. A
+  // request to a switch already declared down fails the same way at once.
   using BarrierFn = std::function<void(bool ok)>;
   void barrier(Dpid dpid, BarrierFn done);
 
@@ -376,6 +377,12 @@ class Controller {
                           std::optional<openflow::Error> error);
   void resolve_completions_acked_by(Dpid dpid,
                                     const std::vector<std::uint32_t>& acked);
+  // A switch declared down answers nothing, so a barrier, stats or role
+  // request to it fails fast: `done(failed)` fires from a zero-delay event
+  // (callers expect the callback strictly after the call returns) instead
+  // of the request waiting in the dead channel. True when it failed.
+  template <typename Fn, typename Failed>
+  bool fail_if_down(Dpid dpid, Fn& done, Failed failed);
   // Liveness.
   void start_handshake(Dpid dpid);
   void schedule_echo(Dpid dpid, std::uint64_t epoch);

@@ -16,7 +16,7 @@ bool GroupTable::apply(const openflow::GroupMod& mod) {
       }
       if (mod.type == openflow::GroupType::Indirect && mod.buckets.size() != 1)
         return false;
-      groups_.emplace(mod.group_id, Group{mod.type, mod.buckets, 0});
+      groups_.emplace(mod.group_id, Group{mod.type, mod.buckets});
       return true;
     }
     case openflow::GroupModCommand::Modify: {
@@ -40,11 +40,6 @@ bool GroupTable::apply(const openflow::GroupMod& mod) {
 }
 
 const Group* GroupTable::find(std::uint32_t group_id) const noexcept {
-  const auto it = groups_.find(group_id);
-  return it == groups_.end() ? nullptr : &it->second;
-}
-
-Group* GroupTable::find(std::uint32_t group_id) noexcept {
   const auto it = groups_.find(group_id);
   return it == groups_.end() ? nullptr : &it->second;
 }

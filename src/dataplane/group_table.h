@@ -16,7 +16,6 @@ namespace zen::dataplane {
 struct Group {
   openflow::GroupType type = openflow::GroupType::All;
   std::vector<openflow::Bucket> buckets;
-  std::uint64_t packet_count = 0;
 };
 
 class GroupTable {
@@ -27,7 +26,6 @@ class GroupTable {
   bool apply(const openflow::GroupMod& mod);
 
   const Group* find(std::uint32_t group_id) const noexcept;
-  Group* find(std::uint32_t group_id) noexcept;
 
   // Port-liveness oracle for FastFailover evaluation.
   using PortLiveFn = std::function<bool(std::uint32_t port)>;

@@ -2,8 +2,9 @@
 //
 // Sits in front of the multi-table pipeline: the first packet of a flow
 // runs the full pipeline and the resulting verdict (output set / packet-in /
-// drop, plus the entries to credit and meters to charge) is cached keyed by
-// the exact FlowKey. Subsequent packets of the flow skip the classifier.
+// drop, plus the entries to credit) is cached keyed by the exact FlowKey.
+// Subsequent packets of the flow skip the classifier; the switch replays
+// the verdict through the pipeline's own outcome code.
 //
 // Invalidation is coarse, as in early Open vSwitch: any flow/group table
 // change bumps a global version; the first probe under a new version drops
@@ -39,22 +40,28 @@
 
 namespace zen::dataplane {
 
-// The cached outcome of one pipeline traversal.
+// The cached outcome of one pipeline traversal. A hit replays it through
+// the same code the pipeline ran: credit and meter each entry in pipeline
+// order, send out each port, punt. Replaying a verdict is observably the
+// same as running the pipeline again (Switch.MegaflowCacheIsTransparent*).
 struct CachedVerdict {
   struct PortQueue {
     std::uint32_t port = 0;
     std::uint32_t queue_id = 0;
   };
-  // Concrete egress ports (reserved ports already resolved except kController).
+  // Concrete egress ports (reserved ports already resolved except
+  // kController), down ones included: a hit counts their tx_dropped.
   std::vector<PortQueue> out_ports;
+  // The punt that happened (the first; one PacketIn per packet).
   bool to_controller = false;
   std::uint8_t controller_table = 0;
   std::uint64_t controller_cookie = 0;
+  std::uint16_t controller_max_len = 0;  // bytes of the frame it carries
   bool miss = false;  // table-miss (controller punt uses reason NoMatch)
-  // Entries to credit stats on each cached hit.
+  // Entries to credit on each hit, in pipeline order; a hit charges each
+  // entry's meters as it credits it, and a meter drop ends the hit before
+  // any output (a verdict with a meter behind an output is not cached).
   std::vector<FlowEntryPtr> credited;
-  // Meters to charge, in pipeline order; any failure drops the packet.
-  std::vector<std::uint32_t> meters;
   // Packet rewrites are NOT cacheable in this design (see switch.cc); a
   // verdict with rewrites sets this flag and is never inserted.
   bool cacheable = true;

@@ -93,13 +93,35 @@ constexpr std::size_t kSlotPackets = 0;
 constexpr std::size_t kSlotCacheHits = 1;
 constexpr std::size_t kSlotCacheMisses = 2;
 constexpr std::size_t kSlotCacheEvictions = 3;
+
+// PacketIn buffer ring (FeaturesReply n_buffers).
+constexpr std::size_t kPacketBufferSlots = 256;
+// miss_send_len: bytes of the frame a table miss with no table-miss entry
+// punts (a rule's CONTROLLER output carries its own max_len).
+constexpr std::uint16_t kMissSendLen = 128;
+
+// The one FlowRemoved builder, for eviction, delete and expiry alike:
+// appends the event when the entry asked for one.
+void report_removed(std::vector<openflow::FlowRemoved>* out,
+                    const FlowEntry& entry, std::uint8_t table_id,
+                    openflow::FlowRemovedReason reason) {
+  if (!out || (entry.flags & openflow::kFlagSendFlowRemoved) == 0) return;
+  openflow::FlowRemoved& fr = out->emplace_back();
+  fr.cookie = entry.cookie;
+  fr.priority = entry.priority;
+  fr.reason = reason;
+  fr.table_id = table_id;
+  fr.packet_count = entry.packet_count;
+  fr.byte_count = entry.byte_count;
+  fr.match = entry.match;
+}
 }
 
 Switch::Switch(std::uint64_t datapath_id, SwitchConfig config)
     : dpid_(datapath_id),
       config_(config),
       cache_(config.cache_capacity, config.cache_enabled),
-      buffered_(config.packet_buffer_slots) {
+      buffered_(kPacketBufferSlots) {
   if (config_.n_tables == 0) config_.n_tables = 1;
   if (config_.packet_in_rate_pps > 0) {
     // Burst of ~100 ms worth of punts, at least 1.
@@ -215,112 +237,119 @@ std::vector<openflow::PortDesc> Switch::ports() const {
   return out;
 }
 
-std::uint32_t Switch::buffer_packet(const net::Bytes& frame) {
-  if (buffered_.empty()) return openflow::kNoBuffer;
-  const std::uint32_t id = next_buffer_id_;
-  buffered_[id % buffered_.size()] = frame;
-  next_buffer_id_ = (next_buffer_id_ + 1) % 0x7fffffff;
-  return id;
-}
-
-void Switch::make_packet_in(PipelineContext& ctx,
-                            openflow::PacketInReason reason,
-                            std::uint8_t table_id, std::uint64_t cookie,
-                            std::uint16_t max_len) {
-  if (ctx.result->packet_in) return;  // one PacketIn per packet
-  if (ctx.dry_run) {
-    // Report the punt without buffering the frame, consuming rate-limit
-    // tokens, or touching the punt counters.
-    const net::Bytes frame = ctx.pkt->serialize();
-    openflow::PacketIn pin;
-    pin.reason = reason;
-    pin.table_id = table_id;
-    pin.cookie = cookie;
-    pin.in_port = ctx.in_port;
-    pin.total_len = static_cast<std::uint16_t>(frame.size());
-    pin.buffer_id = openflow::kNoBuffer;
-    const std::size_t n = std::min<std::size_t>(max_len, frame.size());
-    pin.data.assign(frame.begin(),
-                    frame.begin() + static_cast<std::ptrdiff_t>(n));
-    ctx.result->packet_in = std::move(pin);
-    if (ctx.probe.active()) {
-      ExplainStep s;
-      s.kind = ExplainStepKind::kPacketIn;
-      s.table_id = table_id;
-      s.detail = reason == openflow::PacketInReason::NoMatch
-                     ? "reason=no_match"
-                     : "reason=action";
-      if (packet_in_bucket_ &&
-          packet_in_bucket_->peek_available(ctx.now) < 1.0)
-        s.detail += " (would be rate-limited right now)";
-      ctx.probe.add(std::move(s));
-    }
-    return;
-  }
-  if (packet_in_bucket_ && !packet_in_bucket_->try_consume(1.0, ctx.now)) {
-    ++packet_in_suppressed_;
-    SwitchMetrics::get().packet_ins_suppressed.inc();
-    ctx.verdict.cacheable = false;  // suppression is time-dependent
-    return;
-  }
-  const net::Bytes frame = ctx.pkt->serialize();
-  openflow::PacketIn pin;
-  pin.reason = reason;
-  pin.table_id = table_id;
-  pin.cookie = cookie;
-  pin.in_port = ctx.in_port;
-  pin.total_len = static_cast<std::uint16_t>(frame.size());
-  pin.buffer_id = buffer_packet(frame);
-  const std::size_t n = std::min<std::size_t>(max_len, frame.size());
-  pin.data.assign(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(n));
-  ctx.result->packet_in = std::move(pin);
-  SwitchMetrics::get().packet_ins.inc();
-  ZEN_TRACE_INSTANT("packet_in", "dataplane");
-}
-
-void Switch::emit_to_port(PipelineContext& ctx, std::uint32_t port_no) {
-  const auto it = ports_.find(port_no);
-  if (it == ports_.end()) {
-    if (ctx.probe.active()) {
-      ExplainStep s;
-      s.kind = ExplainStepKind::kOutput;
-      s.port = port_no;
-      s.queue_id = ctx.queue_id;
-      s.detail = "no such port (frame discarded)";
-      ctx.probe.add(std::move(s));
-    }
-    return;
-  }
-  auto& state = it->second;
-  if (!state.desc.link_up) {
-    if (!ctx.dry_run) ++state.stats.tx_dropped;
-    if (ctx.probe.active()) {
-      ExplainStep s;
-      s.kind = ExplainStepKind::kOutput;
-      s.port = port_no;
-      s.queue_id = ctx.queue_id;
-      s.detail = "link down (tx_dropped)";
-      ctx.probe.add(std::move(s));
-    }
-    return;
-  }
-  net::Bytes frame = ctx.pkt->serialize();
+bool Switch::credit_and_meter(PipelineContext& ctx, FlowEntry& entry,
+                              std::uint8_t table_id) {
+  const std::size_t bytes = ctx.pkt->wire_size();
   if (!ctx.dry_run) {
-    ++state.stats.tx_packets;
-    state.stats.tx_bytes += frame.size();
+    entry.packet_count++;
+    entry.byte_count += bytes;
+    entry.last_used_at = ctx.now;
+  }
+  // A missing meter passes, so with none installed there is nothing to
+  // charge; skipping the scan keeps a hit off the entry's instruction
+  // memory. Explain still narrates each MeterInstruction.
+  if (meters_.size() == 0 && !ctx.probe.active()) return true;
+  for (const auto& ins : entry.instructions) {
+    const auto* meter = std::get_if<openflow::MeterInstruction>(&ins);
+    if (!meter) continue;
+    const bool allowed =
+        ctx.dry_run ? meters_.would_allow(meter->meter_id, bytes, ctx.now)
+                    : meters_.allow(meter->meter_id, bytes, ctx.now);
+    if (ctx.probe.active()) {
+      ExplainStep s;
+      s.kind = ExplainStepKind::kMeter;
+      s.table_id = table_id;
+      s.meter_id = meter->meter_id;
+      s.allowed = allowed;
+      const double rate = meters_.rate_bytes_per_s(meter->meter_id);
+      if (rate > 0)
+        s.detail = util::format("band rate %.0f bytes/s", rate);
+      else
+        s.detail = "no such meter (pass)";
+      ctx.probe.add(std::move(s));
+    }
+    if (!allowed) return false;
+  }
+  return true;
+}
+
+void Switch::transmit(PipelineContext& ctx, std::uint32_t port_no,
+                      std::uint32_t queue_id) {
+  const auto it = ports_.find(port_no);
+  const char* lost = nullptr;
+  if (it == ports_.end()) {
+    lost = "no such port (frame discarded)";
+  } else if (!it->second.desc.link_up) {
+    if (!ctx.dry_run) ++it->second.stats.tx_dropped;
+    lost = "link down (tx_dropped)";
+  } else {
+    if (!ctx.dry_run) {
+      ++it->second.stats.tx_packets;
+      it->second.stats.tx_bytes += ctx.pkt->wire_size();
+    }
+    ctx.result->outputs.push_back(
+        Egress{port_no, queue_id, ctx.pkt->serialize()});
   }
   if (ctx.probe.active()) {
     ExplainStep s;
     s.kind = ExplainStepKind::kOutput;
     s.port = port_no;
-    s.queue_id = ctx.queue_id;
+    s.queue_id = queue_id;
+    if (lost) s.detail = lost;
     ctx.probe.add(std::move(s));
   }
-  ctx.result->outputs.push_back(Egress{port_no, ctx.queue_id, std::move(frame)});
-  if (!ctx.pkt->modified())
-    ctx.verdict.out_ports.push_back({port_no, ctx.queue_id});
-  else
-    ctx.verdict.cacheable = false;
+}
+
+void Switch::punt(PipelineContext& ctx, const CachedVerdict& verdict) {
+  // A dry run reports the punt without admission, counters or buffering.
+  if (!ctx.dry_run) {
+    if (packet_in_bucket_ && !packet_in_bucket_->try_consume(1.0, ctx.now)) {
+      ++packet_in_suppressed_;
+      SwitchMetrics::get().packet_ins_suppressed.inc();
+      return;
+    }
+    SwitchMetrics::get().packet_ins.inc();
+    ZEN_TRACE_INSTANT("packet_in", "dataplane");
+  }
+  net::Bytes frame = ctx.pkt->serialize();
+  openflow::PacketIn& pin = ctx.result->packet_in.emplace();
+  pin.reason = verdict.miss ? openflow::PacketInReason::NoMatch
+                            : openflow::PacketInReason::Action;
+  pin.table_id = verdict.controller_table;
+  pin.cookie = verdict.controller_cookie;
+  pin.in_port = ctx.in_port;
+  pin.total_len = static_cast<std::uint16_t>(frame.size());
+  const std::size_t n =
+      std::min<std::size_t>(verdict.controller_max_len, frame.size());
+  pin.data.assign(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(n));
+  if (ctx.dry_run) {
+    pin.buffer_id = openflow::kNoBuffer;
+  } else {
+    pin.buffer_id = next_buffer_id_;
+    buffered_[next_buffer_id_ % buffered_.size()] = std::move(frame);
+    next_buffer_id_ = (next_buffer_id_ + 1) % 0x7fffffff;
+  }
+  if (ctx.probe.active()) {
+    ExplainStep s;
+    s.kind = ExplainStepKind::kPacketIn;
+    s.table_id = verdict.controller_table;
+    s.detail = verdict.miss ? "reason=no_match" : "reason=action";
+    if (packet_in_bucket_ && packet_in_bucket_->peek_available(ctx.now) < 1.0)
+      s.detail += " (would be rate-limited right now)";
+    ctx.probe.add(std::move(s));
+  }
+}
+
+void Switch::emit_to_port(PipelineContext& ctx, std::uint32_t port_no) {
+  ctx.verdict.out_ports.push_back({port_no, ctx.queue_id});
+  transmit(ctx, port_no, ctx.queue_id);
+}
+
+void Switch::flood(PipelineContext& ctx, bool include_in_port) {
+  for (const auto& [no, state] : ports_) {
+    if ((include_in_port || no != ctx.in_port) && state.desc.link_up)
+      emit_to_port(ctx, no);
+  }
 }
 
 void Switch::execute_normal(PipelineContext& ctx) {
@@ -337,36 +366,29 @@ void Switch::execute_normal(PipelineContext& ctx) {
     return;
   }
 
-  // Dry-run: report the flood set without learning or dedup-window writes
-  // (the dedup verdict is time-dependent, so the trace shows the
-  // steady-state flood behavior instead).
-  if (ctx.dry_run) {
-    for (const auto& [no, state] : ports_) {
-      if (no != ctx.in_port && state.desc.link_up) emit_to_port(ctx, no);
-    }
-    return;
-  }
-
   // Unknown/broadcast destination: flood — but drop frames this switch
   // already flooded inside the dedup window. A looped fabric of standalone
-  // switches would otherwise amplify every broadcast forever.
-  const std::uint64_t h = frame_hash(ctx.pkt->serialize());
-  const auto [it, inserted] = flood_recent_.try_emplace(h, ctx.now);
-  if (!inserted) {
-    if (ctx.now - it->second < kFloodDedupWindowS) {
-      ++storm_suppressed_;
-      return;
+  // switches would otherwise amplify every broadcast forever. Dry-run
+  // reports the flood set without dedup-window writes (the dedup verdict
+  // is time-dependent, so the trace shows the steady-state flood behavior
+  // instead).
+  if (!ctx.dry_run) {
+    const std::uint64_t h = frame_hash(ctx.pkt->serialize());
+    const auto [it, inserted] = flood_recent_.try_emplace(h, ctx.now);
+    if (!inserted) {
+      if (ctx.now - it->second < kFloodDedupWindowS) {
+        ++storm_suppressed_;
+        return;
+      }
+      it->second = ctx.now;
     }
-    it->second = ctx.now;
+    if (flood_recent_.size() > kFloodTableMax) {
+      std::erase_if(flood_recent_, [&](const auto& kv) {
+        return ctx.now - kv.second >= kFloodDedupWindowS;
+      });
+    }
   }
-  if (flood_recent_.size() > kFloodTableMax) {
-    std::erase_if(flood_recent_, [&](const auto& kv) {
-      return ctx.now - kv.second >= kFloodDedupWindowS;
-    });
-  }
-  for (const auto& [no, state] : ports_) {
-    if (no != ctx.in_port && state.desc.link_up) emit_to_port(ctx, no);
-  }
+  flood(ctx, /*include_in_port=*/false);
 }
 
 void Switch::execute_output(PipelineContext& ctx, std::uint32_t port,
@@ -374,27 +396,22 @@ void Switch::execute_output(PipelineContext& ctx, std::uint32_t port,
                             std::uint64_t cookie, bool is_miss) {
   using openflow::Ports;
   switch (port) {
-    case Ports::kController: {
-      make_packet_in(ctx,
-                     is_miss ? openflow::PacketInReason::NoMatch
-                             : openflow::PacketInReason::Action,
-                     table_id, cookie, max_len);
+    case Ports::kController:
+      // One punt per packet, admitted or suppressed once. A hit replays
+      // the admission too, so a suppressed punt's verdict is cacheable.
+      if (ctx.verdict.to_controller) break;
       ctx.verdict.to_controller = true;
       ctx.verdict.controller_table = table_id;
       ctx.verdict.controller_cookie = cookie;
+      ctx.verdict.controller_max_len = max_len;
       ctx.verdict.miss = is_miss;
-      if (ctx.pkt->modified()) ctx.verdict.cacheable = false;
+      punt(ctx, ctx.verdict);
       break;
-    }
     case Ports::kFlood:
-      for (const auto& [no, state] : ports_) {
-        if (no != ctx.in_port && state.desc.link_up) emit_to_port(ctx, no);
-      }
+      flood(ctx, /*include_in_port=*/false);
       break;
     case Ports::kAll:
-      for (const auto& [no, state] : ports_) {
-        if (state.desc.link_up) emit_to_port(ctx, no);
-      }
+      flood(ctx, /*include_in_port=*/true);
       break;
     case Ports::kInPort:
       emit_to_port(ctx, ctx.in_port);
@@ -431,7 +448,6 @@ void Switch::execute_action_list(PipelineContext& ctx,
         }
         continue;
       }
-      if (!ctx.dry_run) const_cast<Group*>(group)->packet_count++;
       if (group->type == openflow::GroupType::All) {
         if (ctx.probe.active()) {
           ExplainStep s;
@@ -475,13 +491,11 @@ void Switch::execute_action_list(PipelineContext& ctx,
           if (!bucket) s.detail += "; no live bucket (drop)";
           ctx.probe.add(std::move(s));
         }
-        if (bucket) execute_action_list(ctx, bucket->actions, depth + 1);
+        // Select-group choice is key-deterministic, so cacheable.
         // FastFailover verdicts depend on port liveness; the version bump
         // in set_port_link already invalidates cached verdicts on change.
+        if (bucket) execute_action_list(ctx, bucket->actions, depth + 1);
       }
-      // Select-group choice is key-deterministic, so still cacheable unless
-      // the bucket rewrote the packet (tracked via pkt->modified()).
-      if (ctx.pkt->modified()) ctx.verdict.cacheable = false;
     } else if (const auto* sq = std::get_if<openflow::SetQueueAction>(&action)) {
       // Applies to every subsequent output of this packet; the simulator's
       // link model maps queue >= 1 to the strict-priority class.
@@ -509,6 +523,9 @@ void Switch::execute_action_list(PipelineContext& ctx,
         }
         return;
       }
+      // A hit replays the frame as it arrived, so a rewritten packet's
+      // verdict is never cached.
+      ctx.verdict.cacheable = false;
       if (ctx.probe.active()) {
         ExplainStep s;
         s.kind = ExplainStepKind::kRewrite;
@@ -557,23 +574,30 @@ void Switch::run_pipeline(PipelineContext& ctx) {
 
     if (!entry) {
       if (table_id == 0 && config_.default_miss == MissBehavior::PacketIn) {
-        make_packet_in(ctx, openflow::PacketInReason::NoMatch, table_id, 0,
-                       config_.packet_in_bytes);
-        ctx.verdict.to_controller = true;
-        ctx.verdict.controller_table = table_id;
-        ctx.verdict.miss = true;
+        execute_output(ctx, openflow::Ports::kController, kMissSendLen,
+                       table_id, 0, /*is_miss=*/true);
       } else {
         ctx.result->dropped = ctx.result->outputs.empty() && !ctx.result->packet_in;
       }
       break;
     }
 
-    // Credit the entry (cached hits credit via verdict.credited).
-    if (!ctx.dry_run) {
-      entry->packet_count++;
-      entry->byte_count += ctx.pkt->wire_size();
-      entry->last_used_at = ctx.now;
-      ctx.verdict.credited.push_back(entry);
+    // Credit the entry and charge its meters ahead of its other
+    // instructions (the OpenFlow 1.3 order): the walk a hit replays over
+    // verdict.credited. The replay runs every meter before any output, so
+    // a meter behind an earlier table's output or punt is not cached.
+    if (!ctx.dry_run) ctx.verdict.credited.push_back(entry);
+    const auto is_meter = [](const openflow::Instruction& ins) {
+      return std::holds_alternative<openflow::MeterInstruction>(ins);
+    };
+    if ((!ctx.verdict.out_ports.empty() || ctx.verdict.to_controller) &&
+        std::any_of(entry->instructions.begin(), entry->instructions.end(),
+                    is_meter))
+      ctx.verdict.cacheable = false;
+    if (!credit_and_meter(ctx, *entry, table_id)) {
+      ctx.dropped = true;
+      ctx.result->dropped = true;
+      return;
     }
 
     const bool is_miss_entry =
@@ -582,32 +606,7 @@ void Switch::run_pipeline(PipelineContext& ctx) {
     std::optional<std::uint8_t> goto_table;
     for (const auto& ins : entry->instructions) {
       if (ctx.dropped) break;
-      if (const auto* meter = std::get_if<openflow::MeterInstruction>(&ins)) {
-        ctx.verdict.meters.push_back(meter->meter_id);
-        const bool allowed =
-            ctx.dry_run
-                ? meters_.would_allow(meter->meter_id, ctx.pkt->wire_size(),
-                                      ctx.now)
-                : meters_.allow(meter->meter_id, ctx.pkt->wire_size(), ctx.now);
-        if (ctx.probe.active()) {
-          ExplainStep s;
-          s.kind = ExplainStepKind::kMeter;
-          s.table_id = table_id;
-          s.meter_id = meter->meter_id;
-          s.allowed = allowed;
-          const double rate = meters_.rate_bytes_per_s(meter->meter_id);
-          if (rate > 0)
-            s.detail = util::format("band rate %.0f bytes/s", rate);
-          else
-            s.detail = "no such meter (pass)";
-          ctx.probe.add(std::move(s));
-        }
-        if (!allowed) {
-          ctx.dropped = true;
-          ctx.result->dropped = true;
-          return;
-        }
-      } else if (const auto* apply = std::get_if<openflow::ApplyActions>(&ins)) {
+      if (const auto* apply = std::get_if<openflow::ApplyActions>(&ins)) {
         // Table-miss entries that punt to the controller use reason NoMatch.
         if (is_miss_entry && apply->actions.size() == 1) {
           if (const auto* out =
@@ -704,71 +703,39 @@ ForwardResult Switch::ingress(double now, std::uint32_t in_port,
   } else {
     cached = cache_.find(key, version_);
   }
-  if (const CachedVerdict* verdict = cached) {
-    bool metered_out = false;
-    for (const std::uint32_t meter_id : verdict->meters) {
-      if (!meters_.allow(meter_id, frame.size(), now)) {
-        metered_out = true;
-        break;
-      }
-    }
-    if (metered_out) {
-      result.dropped = true;
-      return result;
-    }
-    for (const auto& entry : verdict->credited) {
-      entry->packet_count++;
-      entry->byte_count += frame.size();
-      entry->last_used_at = now;
-    }
-    for (const auto& [out_port, queue_id] : verdict->out_ports) {
-      const auto it = ports_.find(out_port);
-      if (it == ports_.end() || !it->second.desc.link_up) continue;
-      ++it->second.stats.tx_packets;
-      it->second.stats.tx_bytes += frame.size();
-      result.outputs.push_back(
-          Egress{out_port, queue_id, net::Bytes(frame.begin(), frame.end())});
-    }
-    if (verdict->to_controller && packet_in_bucket_ &&
-        !packet_in_bucket_->try_consume(1.0, now)) {
-      ++packet_in_suppressed_;
-    } else if (verdict->to_controller) {
-      openflow::PacketIn pin;
-      pin.reason = verdict->miss ? openflow::PacketInReason::NoMatch
-                                 : openflow::PacketInReason::Action;
-      pin.table_id = verdict->controller_table;
-      pin.cookie = verdict->controller_cookie;
-      pin.in_port = in_port;
-      pin.total_len = static_cast<std::uint16_t>(frame.size());
-      pin.buffer_id = buffer_packet(net::Bytes(frame.begin(), frame.end()));
-      const std::size_t n =
-          std::min<std::size_t>(config_.packet_in_bytes, frame.size());
-      pin.data.assign(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(n));
-      result.packet_in = std::move(pin);
-    }
-    if (result.outputs.empty() && !result.packet_in) result.dropped = true;
-    if (telemetry_stamp)
-      for (Egress& egress : result.outputs)
-        net::append_telemetry_trailer(egress.frame);
-    return result;
-  }
 
-  // Slow path: full pipeline.
   PipelineContext ctx;
   ctx.now = now;
   ctx.in_port = in_port;
   ctx.pkt = &pkt;
   ctx.result = &result;
-  {
-    obs::ScopedTimerNs timer(SwitchMetrics::get().lookup_ns);
-    ZEN_TRACE_SCOPE("pipeline", "dataplane");
-    run_pipeline(ctx);
+  if (cached) {
+    // A hit replays the verdict through the pipeline's outcome code. A
+    // meter drop stops the walk before any output, as in the pipeline.
+    if (std::all_of(cached->credited.begin(), cached->credited.end(),
+                    [&](const FlowEntryPtr& entry) {
+                      return credit_and_meter(ctx, *entry);
+                    })) {
+      for (const auto& [out_port, queue_id] : cached->out_ports)
+        transmit(ctx, out_port, queue_id);
+      if (cached->to_controller) punt(ctx, *cached);
+    }
+  } else {
+    // Slow path: full pipeline.
+    {
+      obs::ScopedTimerNs timer(SwitchMetrics::get().lookup_ns);
+      ZEN_TRACE_SCOPE("pipeline", "dataplane");
+      run_pipeline(ctx);
+    }
+    if (!ctx.dropped) cache_.insert(key, std::move(ctx.verdict), version_);
   }
 
-  if (result.dropped && result.outputs.empty() && !result.packet_in)
+  // Hit or miss: a frame that produced nothing is an rx drop, and every
+  // copy of a sampled flow carries the telemetry trailer.
+  if (result.outputs.empty() && !result.packet_in) {
+    result.dropped = true;
     ++port_it->second.stats.rx_dropped;
-
-  if (!ctx.dropped) cache_.insert(key, std::move(ctx.verdict), version_);
+  }
   if (telemetry_stamp)
     for (Egress& egress : result.outputs)
       net::append_telemetry_trailer(egress.frame);
@@ -864,7 +831,7 @@ ForwardResult Switch::packet_out(double now, const openflow::PacketOut& msg) {
   ForwardResult result;
 
   net::Bytes frame;
-  if (msg.buffer_id != openflow::kNoBuffer && !buffered_.empty()) {
+  if (msg.buffer_id != openflow::kNoBuffer) {
     frame = buffered_[msg.buffer_id % buffered_.size()];
   } else {
     frame = msg.data;
@@ -929,17 +896,8 @@ ModStatus Switch::flow_mod(const openflow::FlowMod& mod, double now,
         ZEN_TRACE_INSTANT("flow_evicted", "dataplane");
         obs::FlightRecorder::global().record(obs::FlightEventKind::kFlowEvicted,
                                              dpid_, mod.table_id);
-        if (removed && (victim->flags & openflow::kFlagSendFlowRemoved)) {
-          openflow::FlowRemoved fr;
-          fr.cookie = victim->cookie;
-          fr.priority = victim->priority;
-          fr.reason = openflow::FlowRemovedReason::Eviction;
-          fr.table_id = mod.table_id;
-          fr.packet_count = victim->packet_count;
-          fr.byte_count = victim->byte_count;
-          fr.match = victim->match;
-          removed->push_back(std::move(fr));
-        }
+        report_removed(removed, *victim, mod.table_id,
+                       openflow::FlowRemovedReason::Eviction);
       }
       FlowEntry entry;
       entry.match = mod.match;
@@ -964,33 +922,16 @@ ModStatus Switch::flow_mod(const openflow::FlowMod& mod, double now,
     case FlowModCommand::Delete:
     case FlowModCommand::DeleteStrict: {
       const bool strict = mod.command == FlowModCommand::DeleteStrict;
-      std::vector<FlowEntryPtr> victims;
-      if (mod.table_id == openflow::kTableAll) {
-        for (auto& table : tables_) {
-          auto v = table.remove(mod.match, mod.priority, strict, mod.out_port);
-          victims.insert(victims.end(), v.begin(), v.end());
-        }
-      } else {
-        victims = tables_[mod.table_id].remove(mod.match, mod.priority, strict,
-                                               mod.out_port);
-      }
-      if (removed) {
-        for (const auto& v : victims) {
-          if ((v->flags & openflow::kFlagSendFlowRemoved) == 0) continue;
-          openflow::FlowRemoved fr;
-          fr.cookie = v->cookie;
-          fr.priority = v->priority;
-          fr.reason = openflow::FlowRemovedReason::Delete;
-          fr.packet_count = v->packet_count;
-          fr.byte_count = v->byte_count;
-          fr.match = v->match;
-          removed->push_back(std::move(fr));
-        }
-      }
-      if (mod.table_id == openflow::kTableAll) {
-        for (std::uint8_t i = 0; i < tables_.size(); ++i) check_vacancy(i);
-      } else {
-        check_vacancy(mod.table_id);
+      const bool all = mod.table_id == openflow::kTableAll;
+      const std::size_t first = all ? 0 : mod.table_id;
+      const std::size_t last = all ? tables_.size() : first + 1;
+      for (std::size_t i = first; i < last; ++i) {
+        const auto id = static_cast<std::uint8_t>(i);
+        for (const auto& victim : tables_[i].remove(mod.match, mod.priority,
+                                                    strict, mod.out_port))
+          report_removed(removed, *victim, id,
+                         openflow::FlowRemovedReason::Delete);
+        check_vacancy(id);
       }
       update_occupancy_gauge();
       return {};
@@ -1191,19 +1132,11 @@ std::vector<openflow::FlowRemoved> Switch::expire_flows(double now) {
   for (std::uint8_t i = 0; i < tables_.size(); ++i) {
     for (const auto& victim : tables_[i].expire(now)) {
       any = true;
-      if ((victim->flags & openflow::kFlagSendFlowRemoved) == 0) continue;
-      openflow::FlowRemoved fr;
-      fr.cookie = victim->cookie;
-      fr.priority = victim->priority;
-      fr.table_id = i;
-      fr.reason = (victim->hard_timeout > 0 &&
-                   now - victim->created_at >= victim->hard_timeout)
-                      ? openflow::FlowRemovedReason::HardTimeout
-                      : openflow::FlowRemovedReason::IdleTimeout;
-      fr.packet_count = victim->packet_count;
-      fr.byte_count = victim->byte_count;
-      fr.match = victim->match;
-      events.push_back(std::move(fr));
+      report_removed(&events, *victim, i,
+                     (victim->hard_timeout > 0 &&
+                      now - victim->created_at >= victim->hard_timeout)
+                         ? openflow::FlowRemovedReason::HardTimeout
+                         : openflow::FlowRemovedReason::IdleTimeout);
     }
   }
   if (any) {

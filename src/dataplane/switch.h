@@ -7,6 +7,12 @@
 // messages to these calls. This keeps dataplane semantics testable without
 // any protocol plumbing.
 //
+// The megaflow cache only skips the classifier: a hit replays its verdict
+// through the pipeline's own outcome code (the credit-and-meter walk, the
+// egress routine, the punt and the ingress epilogue), so what crosses the
+// southbound channel and what the switch counts are the same with the
+// cache on or off.
+//
 // Time is explicit: every packet- or rule-touching call takes `now`
 // (seconds on the caller's clock — virtual under simulation).
 #pragma once
@@ -60,9 +66,6 @@ struct SwitchConfig {
   bool cache_enabled = true;
   // What a table-0 miss does when no table-miss entry is installed.
   MissBehavior default_miss = MissBehavior::PacketIn;
-  std::size_t packet_buffer_slots = 256;
-  // miss_send_len: how many bytes of the frame ride inside a PacketIn.
-  std::uint16_t packet_in_bytes = 128;
   // Controller-protection: max PacketIns per second the switch will emit
   // (0 = unlimited). Excess punts are dropped and counted.
   double packet_in_rate_pps = 0;
@@ -236,6 +239,8 @@ class Switch {
     openflow::PortStatsEntry stats;
   };
 
+  // One packet's trip through the switch: the pipeline walk builds it, and
+  // a megaflow hit replays its verdict with it (verdict left unused).
   struct PipelineContext {
     double now = 0;
     std::uint32_t in_port = 0;
@@ -263,11 +268,25 @@ class Switch {
   void execute_output(PipelineContext& ctx, std::uint32_t port,
                       std::uint16_t max_len, std::uint8_t table_id,
                       std::uint64_t cookie, bool is_miss);
+  // Records the port in the verdict and sends the packet out of it.
   void emit_to_port(PipelineContext& ctx, std::uint32_t port_no);
-  void make_packet_in(PipelineContext& ctx, openflow::PacketInReason reason,
-                      std::uint8_t table_id, std::uint64_t cookie,
-                      std::uint16_t max_len);
-  std::uint32_t buffer_packet(const net::Bytes& frame);
+  // Emits to every up port except the in-port (kFlood) or including it
+  // (kAll).
+  void flood(PipelineContext& ctx, bool include_in_port);
+
+  // ---- outcome code: the pipeline and a megaflow hit both run it ----
+  // Credits a matched entry with the packet, then charges the entry's
+  // meters in instruction order; false when a meter drops the packet.
+  // `table_id` only labels explain steps.
+  bool credit_and_meter(PipelineContext& ctx, FlowEntry& entry,
+                        std::uint8_t table_id = 0);
+  // One egress: port lookup, link check, tx/tx_dropped accounting, and the
+  // frame appended to the result when the port is up.
+  void transmit(PipelineContext& ctx, std::uint32_t port_no,
+                std::uint32_t queue_id);
+  // The punt `verdict` describes: rate-limit admission, punt counters,
+  // buffering and the PacketIn.
+  void punt(PipelineContext& ctx, const CachedVerdict& verdict);
 
   std::uint64_t dpid_;
   SwitchConfig config_;

@@ -100,8 +100,8 @@ SimNetwork::SimNetwork(topo::GeneratedTopo generated, SimOptions options)
   // Sharded packet engine: N > 1 fans same-instant deliveries out across
   // per-core workers. Inline otherwise — no pool, no threads.
   if (options_.engine_workers > 1) {
-    engine_ = std::make_unique<ParallelEngine>(ParallelEngine::Options{
-        .workers = options_.engine_workers, .spin = options_.engine_spin});
+    engine_ = std::make_unique<ParallelEngine>(
+        ParallelEngine::Options{.workers = options_.engine_workers});
     events_.set_engine(engine_.get());
   }
 

@@ -60,8 +60,6 @@ struct SimOptions {
   // in parallel. Final state is identical for any value — see
   // EventQueue's two-phase sharded dispatch.
   unsigned engine_workers = 0;
-  // Worker spin before parking (-1 = auto). Forwarded to the engine.
-  int engine_spin = -1;
 };
 
 class SimNetwork {

@@ -750,6 +750,55 @@ TEST(Liveness, SwitchDownFailsPlainBarrierAndStatsCallbacks) {
   EXPECT_TRUE(port_stats_fired);
 }
 
+TEST(Liveness, RequestsToDownSwitchFailFast) {
+  // Requests to a switch already declared down must not wait in the dead
+  // channel for the next declare_switch_down: each kind fails once, at the
+  // instant it was made (but after the call returns), and stays failed
+  // across the switch's reboot and reconnect.
+  sim::SimNetwork net(topo::make_linear(1, 1), drop_miss_options());
+  Controller ctrl(net, fast_options());
+  ctrl.connect_all();
+  net.run_until(0.1);
+  net.crash_switch(1);
+  net.run_until(0.5);  // heartbeat declares the switch down
+  ASSERT_FALSE(ctrl.switch_alive(1));
+
+  const double asked_at = net.now();
+  std::vector<double> barrier_at, flow_stats_at, port_stats_at, role_at;
+  ctrl.barrier(1, [&](bool ok) {
+    EXPECT_FALSE(ok);
+    barrier_at.push_back(net.now());
+  });
+  ctrl.request_flow_stats(1, {}, [&](const openflow::FlowStatsReply* r) {
+    EXPECT_EQ(r, nullptr);
+    flow_stats_at.push_back(net.now());
+  });
+  ctrl.request_port_stats(1, {}, [&](const openflow::PortStatsReply* r) {
+    EXPECT_EQ(r, nullptr);
+    port_stats_at.push_back(net.now());
+  });
+  ctrl.request_role(1, openflow::ControllerRole::Master, 1,
+                    [&](const openflow::RoleReply* r) {
+                      EXPECT_EQ(r, nullptr);
+                      role_at.push_back(net.now());
+                    });
+  EXPECT_TRUE(barrier_at.empty());  // asynchronous, not from inside the call
+
+  const auto expect_failed_once_at_ask = [&] {
+    for (const auto* fired :
+         {&barrier_at, &flow_stats_at, &port_stats_at, &role_at}) {
+      ASSERT_EQ(fired->size(), 1u);
+      EXPECT_EQ(fired->front(), asked_at);
+    }
+  };
+  net.run_until(0.7);  // still down
+  expect_failed_once_at_ask();
+  net.reboot_switch(1);
+  net.run_until(2.0);
+  ASSERT_TRUE(ctrl.switch_alive(1));
+  expect_failed_once_at_ask();
+}
+
 TEST(Liveness, LostFeaturesReplyIsRetriedNotHung) {
   sim::SimNetwork net(topo::make_linear(1, 1), drop_miss_options());
   Controller ctrl(net, fast_options());

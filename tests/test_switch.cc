@@ -1,12 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "dataplane/switch.h"
 #include "net/checksum.h"
 #include "net/headers.h"
 #include "net/packet.h"
+#include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace zen::dataplane {
 namespace {
+
+// Under ZEN_OBS_DISABLED metric mutations are no-ops, so counter deltas
+// scale by kObsEnabled.
+#ifndef ZEN_OBS_DISABLED
+constexpr bool kObsEnabled = true;
+#else
+constexpr bool kObsEnabled = false;
+#endif
 
 using net::Ipv4Address;
 using net::MacAddress;
@@ -507,6 +520,16 @@ TEST(Switch, FlowRemovedOnDelete) {
   ASSERT_EQ(removed.size(), 1u);
   EXPECT_EQ(removed[0].cookie, 0xc0deULL);
   EXPECT_EQ(removed[0].reason, openflow::FlowRemovedReason::Delete);
+
+  // A delete across all tables reports the table each victim lived in,
+  // as eviction and expiry do.
+  add.table_id = 2;
+  ASSERT_TRUE(sw.flow_mod(add, 2).ok);
+  del.table_id = openflow::kTableAll;
+  removed.clear();
+  ASSERT_TRUE(sw.flow_mod(del, 3, &removed).ok);
+  ASSERT_EQ(removed.size(), 1u);
+  EXPECT_EQ(removed[0].table_id, 2u);
 }
 
 TEST(Switch, ExpireFlowsEmitsEvents) {
@@ -694,6 +717,13 @@ TEST(SwitchPacketInLimit, SuppressesExcessPunts) {
   config.default_miss = MissBehavior::PacketIn;
   config.packet_in_rate_pps = 100;  // burst bucket = 10
   Switch sw = make_switch(4, config);
+  auto& registry = obs::MetricsRegistry::global();
+  const obs::Counter& punted =
+      registry.counter("zen_dataplane_packet_ins_total");
+  const obs::Counter& suppressed =
+      registry.counter("zen_dataplane_packet_ins_suppressed_total");
+  const std::uint64_t punted_before = punted.value();
+  const std::uint64_t suppressed_before = suppressed.value();
 
   int punts = 0;
   for (int i = 0; i < 100; ++i) {
@@ -703,10 +733,20 @@ TEST(SwitchPacketInLimit, SuppressesExcessPunts) {
   EXPECT_LE(punts, 11);
   EXPECT_GE(punts, 9);
   EXPECT_EQ(sw.packet_in_suppressed(), 100u - static_cast<unsigned>(punts));
+  // Every frame after the first was a megaflow hit, and a hit's punt and
+  // suppression count like a miss's.
+  EXPECT_EQ(sw.cache().hits(), 99u);
+  EXPECT_EQ(punted.value() - punted_before,
+            kObsEnabled ? static_cast<std::uint64_t>(punts) : 0u);
+  EXPECT_EQ(suppressed.value() - suppressed_before,
+            kObsEnabled ? 100u - static_cast<std::uint64_t>(punts) : 0u);
 
-  // Tokens refill over time: a punt goes through again later.
+  // Tokens refill over time: a punt goes through again later, and a punt
+  // served from a hit moves the punt counter by one.
+  const std::uint64_t punted_so_far = punted.value();
   const auto later = sw.ingress(1.0, 1, udp_frame());
   EXPECT_TRUE(later.packet_in.has_value());
+  EXPECT_EQ(punted.value() - punted_so_far, kObsEnabled ? 1u : 0u);
 }
 
 TEST(SwitchPacketInLimit, UnlimitedByDefault) {
@@ -771,6 +811,242 @@ TEST(SwitchV6, MegaflowCachesV6Flows) {
       std::vector<std::uint8_t>(8, 0));
   sw.ingress(0, 1, other);
   EXPECT_EQ(sw.cache().size(), 2u);
+}
+
+}  // namespace
+}  // namespace zen::dataplane
+
+// ---------------------------------------------------------------------------
+// Differential oracle for the megaflow cache: two switches that differ only
+// in cache_enabled see one seeded stream of packets and churn. Every
+// forwarding result and FlowRemoved list, and the port, flow and punt
+// counters, must match. Table lookup counts are left out: skipping lookups
+// is the cache's job.
+// ---------------------------------------------------------------------------
+
+namespace zen::dataplane {
+namespace {
+
+constexpr std::uint16_t kChurnDstPorts[] = {80, 443, 53, 8080};
+
+struct ChurnFlow {
+  std::uint32_t in_port = 0;
+  net::Bytes frame;
+};
+
+// Twelve recurring UDP 5-tuples on in-ports 1 and 2; half are longer than
+// the 128 bytes a default table miss punts.
+std::vector<ChurnFlow> churn_flows() {
+  std::vector<ChurnFlow> flows;
+  for (int i = 0; i < 12; ++i) {
+    ChurnFlow flow;
+    flow.in_port = 1 + static_cast<std::uint32_t>(i % 2);
+    flow.frame = net::build_ipv4_udp(
+        kSrcMac, kDstMac, Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(1 + i % 3)),
+        Ipv4Address(10, 0, 1, static_cast<std::uint8_t>(1 + i % 4)),
+        static_cast<std::uint16_t>(1000 + i), kChurnDstPorts[i % 4],
+        std::vector<std::uint8_t>(i < 6 ? 200 : 10, 0x5a));
+    flows.push_back(std::move(flow));
+  }
+  return flows;
+}
+
+// A random Add into table 0 or 1. Port 5 does not exist; group 1 is a
+// select group and group 2 a fast-failover group; meter 1 polices.
+openflow::FlowMod random_add(util::Rng& rng) {
+  using namespace openflow;
+  FlowMod mod;
+  mod.table_id = static_cast<std::uint8_t>(rng.next_below(2));
+  mod.priority = static_cast<std::uint16_t>(rng.next_in(1, 40));
+  mod.cookie = rng.next_u64();
+  if (rng.next_bool(0.5)) mod.flags = kFlagSendFlowRemoved;
+  if (rng.next_bool(0.5))
+    mod.idle_timeout = static_cast<std::uint16_t>(rng.next_in(1, 2));
+  switch (rng.next_below(4)) {
+    case 0: mod.match.l4_dst(kChurnDstPorts[rng.next_below(4)]); break;
+    case 1: mod.match.in_port(static_cast<std::uint32_t>(rng.next_in(1, 2))); break;
+    case 2: mod.match.eth_type(net::EtherType::kIpv4); break;
+    default: break;  // wildcard
+  }
+  const auto port = [&] { return static_cast<std::uint32_t>(rng.next_in(1, 5)); };
+  const auto to_table1 = [&] {
+    if (mod.table_id == 0) mod.instructions.push_back(GotoTable{1});
+  };
+  const OutputAction punt_full{Ports::kController, 0xffff};
+  const OutputAction punt_64{Ports::kController, 64};
+  switch (rng.next_below(16)) {
+    case 0: mod.instructions = output_to(port()); break;
+    case 1: mod.instructions = {ApplyActions{{GroupAction{1}}}}; break;
+    case 2: mod.instructions = {ApplyActions{{GroupAction{2}}}}; break;
+    case 3: mod.instructions = {ApplyActions{{punt_full}}}; break;
+    case 4: mod.instructions = {ApplyActions{{punt_64}}}; break;
+    case 5:
+      mod.instructions = {MeterInstruction{1},
+                          ApplyActions{{OutputAction{port(), 0xffff}}}};
+      break;
+    case 6:
+      mod.instructions = {
+          ApplyActions{{SetQueueAction{1}, OutputAction{port(), 0xffff}}}};
+      break;
+    case 7:  // an output, then (maybe metered) table 1 decides the rest
+      mod.instructions = {ApplyActions{{OutputAction{port(), 0xffff}}}};
+      to_table1();
+      break;
+    case 8:  // QoS-style classification: police, queue, forward in table 1
+      mod.instructions = {MeterInstruction{1}, ApplyActions{{SetQueueAction{2}}}};
+      to_table1();
+      break;
+    case 9: break;  // drop
+    case 10:
+      mod.instructions = {
+          ApplyActions{{OutputAction{port(), 0xffff}, punt_64}}};
+      break;
+    case 11: mod.instructions = {ApplyActions{{punt_64, punt_full}}}; break;
+    case 12:
+      mod.instructions = {WriteActions{{OutputAction{port(), 0xffff}}}};
+      to_table1();
+      break;
+    case 13:
+      mod.instructions = {ApplyActions{{OutputAction{Ports::kFlood, 0xffff}}}};
+      break;
+    case 14:  // rewrites are never cached: keep them to one destination
+      mod.match = Match().l4_dst(kChurnDstPorts[rng.next_below(4)]);
+      mod.instructions = {
+          ApplyActions{{SetIpDscpAction{3}, OutputAction{port(), 0xffff}}}};
+      break;
+    default:  // table-miss entry: punts with reason NoMatch
+      mod.priority = 0;
+      mod.match = Match();
+      mod.instructions = {ApplyActions{{rng.next_bool(0.5) ? punt_full : punt_64}}};
+      break;
+  }
+  return mod;
+}
+
+openflow::FlowMod random_delete(util::Rng& rng) {
+  openflow::FlowMod mod;
+  mod.command = rng.next_bool(0.5) ? openflow::FlowModCommand::Delete
+                                   : openflow::FlowModCommand::DeleteStrict;
+  const std::uint8_t tables[] = {0, 1, openflow::kTableAll};
+  mod.table_id = tables[rng.next_below(3)];
+  mod.priority = static_cast<std::uint16_t>(rng.next_in(0, 40));
+  if (rng.next_bool(0.8)) mod.match.l4_dst(kChurnDstPorts[rng.next_below(4)]);
+  return mod;
+}
+
+// The first field in which two forwarding results differ ("" if none).
+std::string forward_diff(const ForwardResult& a, const ForwardResult& b) {
+  if (a.outputs.size() != b.outputs.size()) return "outputs";
+  for (std::size_t i = 0; i < a.outputs.size(); ++i) {
+    const Egress& x = a.outputs[i];
+    const Egress& y = b.outputs[i];
+    if (x.port != y.port || x.queue_id != y.queue_id || x.frame != y.frame)
+      return "outputs";
+  }
+  if (a.packet_in != b.packet_in) return "packet_in";
+  if (a.dropped != b.dropped) return "dropped";
+  if (a.in_port != b.in_port) return "in_port";
+  return "";
+}
+
+TEST(Switch, MegaflowCacheIsTransparentUnderChurn) {
+  const std::vector<ChurnFlow> flows = churn_flows();
+  std::uint64_t sends = 0, hits = 0, evictions = 0, suppressed = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SwitchConfig config;
+    config.n_tables = 2;
+    config.cache_capacity = 8;  // fewer than the flows: eviction runs
+    config.packet_in_rate_pps = 200;
+    Switch cached = make_switch(4, config);
+    config.cache_enabled = false;
+    Switch plain = make_switch(4, config);
+    const auto both = [&](const auto& op) {
+      op(cached);
+      op(plain);
+    };
+
+    openflow::MeterMod meter;
+    meter.command = openflow::MeterModCommand::Add;
+    meter.meter_id = 1;
+    meter.rate_kbps = 160;  // 20 kB/s: polices what a metered rule matches
+    meter.burst_kbits = 16;
+    openflow::GroupMod select;
+    select.command = openflow::GroupModCommand::Add;
+    select.type = openflow::GroupType::Select;
+    select.group_id = 1;
+    select.buckets = {
+        openflow::Bucket{1, openflow::Ports::kAny, {openflow::OutputAction{3, 0xffff}}},
+        openflow::Bucket{1, openflow::Ports::kAny, {openflow::OutputAction{4, 0xffff}}}};
+    openflow::GroupMod failover = select;
+    failover.type = openflow::GroupType::FastFailover;
+    failover.group_id = 2;
+    failover.buckets = {
+        openflow::Bucket{1, 3, {openflow::OutputAction{3, 0xffff}}},
+        openflow::Bucket{1, 4, {openflow::OutputAction{4, 0xffff}}}};
+    both([&](Switch& sw) {
+      // Every fourth seed leaves meter 1 out: its MeterInstructions pass.
+      if (seed % 4 != 0) {
+        ASSERT_TRUE(sw.meter_mod(meter).ok);
+      }
+      ASSERT_TRUE(sw.group_mod(select).ok);
+      ASSERT_TRUE(sw.group_mod(failover).ok);
+    });
+
+    util::Rng rng(seed);
+    double now = 0;
+    std::uint64_t seed_sends = 0;
+    for (int step = 0; step < 1000; ++step) {
+      now += 0.0005 * static_cast<double>(rng.next_in(1, 8));
+      std::vector<openflow::FlowRemoved> removed_cached, removed_plain;
+      if (step < 20 || rng.next_bool(0.04)) {  // churn
+        const std::uint64_t kind = step < 20 ? 0 : rng.next_below(5);
+        if (kind <= 1) {
+          const openflow::FlowMod mod =
+              kind == 0 ? random_add(rng) : random_delete(rng);
+          const bool ok = cached.flow_mod(mod, now, &removed_cached).ok;
+          ASSERT_EQ(plain.flow_mod(mod, now, &removed_plain).ok, ok);
+        } else if (kind == 2) {
+          // Toggle an egress-only port (the group targets).
+          const auto port = static_cast<std::uint32_t>(rng.next_in(3, 4));
+          const bool up = !cached.port(port)->link_up;
+          both([&](Switch& sw) { sw.set_port_link(port, up); });
+        } else {
+          removed_cached = cached.expire_flows(now);
+          removed_plain = plain.expire_flows(now);
+        }
+        ASSERT_TRUE(removed_cached == removed_plain)
+            << "flow_removed, seed " << seed << " step " << step;
+        continue;
+      }
+      const ChurnFlow& flow =
+          flows[rng.next_bool(0.5) ? rng.next_below(4) : rng.next_below(12)];
+      const ForwardResult a = cached.ingress(now, flow.in_port, flow.frame);
+      const ForwardResult b = plain.ingress(now, flow.in_port, flow.frame);
+      ++seed_sends;
+      ASSERT_EQ(forward_diff(a, b), "") << "seed " << seed << " step " << step;
+      ASSERT_TRUE(cached.port_stats({}) == plain.port_stats({}))
+          << "port_stats, seed " << seed << " step " << step;
+      ASSERT_EQ(cached.packet_in_suppressed(), plain.packet_in_suppressed())
+          << "seed " << seed << " step " << step;
+    }
+    EXPECT_TRUE(cached.flow_stats({}, now) == plain.flow_stats({}, now))
+        << "flow_stats, seed " << seed;
+    // The cache served a real share of the traffic.
+    EXPECT_GE(cached.cache().hits() * 5, seed_sends) << "seed " << seed;
+    sends += seed_sends;
+    hits += cached.cache().hits();
+    evictions += cached.cache().evictions();
+    suppressed += cached.packet_in_suppressed();
+  }
+  // The churn reached eviction and rate limiting, not just plain hits.
+  EXPECT_GT(evictions, 0u);
+  EXPECT_GT(suppressed, 0u);
+  std::printf("megaflow oracle: %llu sends, %llu hits, %llu evictions, "
+              "%llu suppressed punts\n",
+              static_cast<unsigned long long>(sends),
+              static_cast<unsigned long long>(hits),
+              static_cast<unsigned long long>(evictions),
+              static_cast<unsigned long long>(suppressed));
 }
 
 }  // namespace
