@@ -163,49 +163,10 @@ void L3Routing::withdraw_route(Dpid sw, net::Ipv4Address ip,
   }
 }
 
-void L3Routing::flood_to_edge_ports(const openflow::Bytes& data,
-                                    Dpid except_dpid,
-                                    std::uint32_t except_port) {
-  const NetworkView& view = controller_->view();
-  for (const Dpid dpid : view.switch_ids()) {
-    const auto* features = view.switch_features(dpid);
-    if (!features) continue;
-    openflow::PacketOut out;
-    out.in_port = openflow::Ports::kController;
-    for (const auto& port : features->ports) {
-      if (view.is_infrastructure_port(dpid, port.port_no)) continue;
-      if (dpid == except_dpid && port.port_no == except_port) continue;
-      out.actions.push_back(openflow::OutputAction{port.port_no, 0xffff});
-    }
-    if (out.actions.empty()) continue;
-    out.data = data;
-    controller_->packet_out(dpid, out);
-  }
-}
-
-void L3Routing::handle_arp(const PacketInEvent& event) {
-  const net::ArpMessage& arp = *event.parsed->arp;
-  if (arp.opcode == net::ArpMessage::kRequest) {
-    if (const HostInfo* target = controller_->view().host_by_ip(arp.target_ip)) {
-      // Proxy reply straight out of the requester's port.
-      const net::Bytes reply = net::build_arp_reply(
-          target->mac, arp.target_ip, arp.sender_mac, arp.sender_ip);
-      openflow::PacketOut out;
-      out.in_port = openflow::Ports::kController;
-      out.actions = {openflow::OutputAction{event.pin->in_port, 0xffff}};
-      out.data = reply;
-      controller_->packet_out(event.dpid, out);
-      return;
-    }
-  }
-  // Unknown target (or a reply we can't shortcut): edge-flood, loop-free.
-  flood_to_edge_ports(event.pin->data, event.dpid, event.pin->in_port);
-}
-
 bool L3Routing::on_packet_in(const PacketInEvent& event) {
   if (!event.parsed) return false;
   if (event.parsed->arp) {
-    handle_arp(event);
+    controller_->proxy_arp(event);
     return true;
   }
   if (event.parsed->ipv4) {
@@ -213,7 +174,8 @@ bool L3Routing::on_packet_in(const PacketInEvent& event) {
     const HostInfo* dst = view.host_by_ip(event.parsed->ipv4->dst);
     if (!dst) {
       // Unknown destination: edge-flood so it reveals itself.
-      flood_to_edge_ports(event.pin->data, event.dpid, event.pin->in_port);
+      controller_->flood_to_edge_ports(event.pin->data, event.dpid,
+                                       event.pin->in_port);
       return true;
     }
     // Known destination but no rule yet (installs in flight): forward the

@@ -63,9 +63,6 @@ class L3Routing : public App {
   void apply_route(Dpid sw, net::Ipv4Address ip,
                    const std::vector<std::uint32_t>& ports);
   void withdraw_route(Dpid sw, net::Ipv4Address ip, const RouteEntry& entry);
-  void flood_to_edge_ports(const openflow::Bytes& data, Dpid except_dpid,
-                           std::uint32_t except_port);
-  void handle_arp(const PacketInEvent& event);
 
   Options options_;
   bool recompute_pending_ = false;

@@ -17,26 +17,6 @@ void ReactiveForwarding::on_switch_up(Dpid dpid, const openflow::FeaturesReply&)
   controller_->install_table_miss(dpid, options_.table_id);
 }
 
-void ReactiveForwarding::flood_to_edge_ports(const openflow::Bytes& data,
-                                             Dpid except_dpid,
-                                             std::uint32_t except_port) {
-  const NetworkView& view = controller_->view();
-  for (const Dpid dpid : view.switch_ids()) {
-    const auto* features = view.switch_features(dpid);
-    if (!features) continue;
-    openflow::PacketOut out;
-    out.in_port = openflow::Ports::kController;
-    for (const auto& port : features->ports) {
-      if (view.is_infrastructure_port(dpid, port.port_no)) continue;
-      if (dpid == except_dpid && port.port_no == except_port) continue;
-      out.actions.push_back(openflow::OutputAction{port.port_no, 0xffff});
-    }
-    if (out.actions.empty()) continue;
-    out.data = data;
-    controller_->packet_out(dpid, out);
-  }
-}
-
 bool ReactiveForwarding::on_packet_in(const PacketInEvent& event) {
   if (!event.parsed) return false;
   const auto& parsed = *event.parsed;
@@ -45,19 +25,7 @@ bool ReactiveForwarding::on_packet_in(const PacketInEvent& event) {
 
   // ARP: proxy when possible, else edge-flood.
   if (parsed.arp) {
-    if (parsed.arp->opcode == net::ArpMessage::kRequest) {
-      if (const HostInfo* target = view.host_by_ip(parsed.arp->target_ip)) {
-        openflow::PacketOut out;
-        out.in_port = openflow::Ports::kController;
-        out.actions = {openflow::OutputAction{pin.in_port, 0xffff}};
-        out.data = net::build_arp_reply(target->mac, parsed.arp->target_ip,
-                                        parsed.arp->sender_mac,
-                                        parsed.arp->sender_ip);
-        controller_->packet_out(event.dpid, out);
-        return true;
-      }
-    }
-    flood_to_edge_ports(pin.data, event.dpid, pin.in_port);
+    controller_->proxy_arp(event);
     return true;
   }
 
@@ -65,7 +33,7 @@ bool ReactiveForwarding::on_packet_in(const PacketInEvent& event) {
   const HostInfo* src = view.host_by_ip(parsed.ipv4->src);
   const HostInfo* dst = view.host_by_ip(parsed.ipv4->dst);
   if (!dst) {
-    flood_to_edge_ports(pin.data, event.dpid, pin.in_port);
+    controller_->flood_to_edge_ports(pin.data, event.dpid, pin.in_port);
     return true;
   }
 

@@ -31,9 +31,6 @@ class ReactiveForwarding : public App {
   std::uint64_t paths_installed() const noexcept { return paths_installed_; }
 
  private:
-  void flood_to_edge_ports(const openflow::Bytes& data, Dpid except_dpid,
-                           std::uint32_t except_port);
-
   Options options_;
   std::uint64_t paths_installed_ = 0;
 };

@@ -47,6 +47,21 @@ openflow::Error synthetic_error(std::uint16_t code) {
 
 using SpanKey = obs::SpanTracer::Key;
 
+// Controller-side delay between a batch's arrival and its dispatch to
+// apps (models scheduling + deserialization). One event covers the whole
+// batch: each message still dispatches at the same virtual time and in
+// the same order as per-message events would.
+constexpr double kProcessingDelayS = 10e-6;
+
+// Adapts a typed reply callback to the pending-reply table's form.
+template <typename Reply>
+std::function<void(const openflow::Message*)> typed_reply(
+    std::function<void(const Reply*)> done) {
+  return [done = std::move(done)](const openflow::Message* reply) {
+    if (done) done(reply ? &std::get<Reply>(*reply) : nullptr);
+  };
+}
+
 // Child span for a southbound send, parented on the dispatch-scoped
 // current span (invalid — and free — outside a traced dispatch).
 obs::SpanContext begin_southbound_span(const char* name) {
@@ -184,38 +199,28 @@ void Controller::declare_switch_down(Dpid dpid) {
   ZEN_TRACE_INSTANT("switch_down", "controller");
 
   // Fail every in-flight transaction and request: each callback fires
-  // exactly once, with the down-error / null-reply path, in xid order.
-  const auto fail_all = [](auto& pending_map, auto&& fail) {
-    auto pending = std::move(pending_map);
-    pending_map.clear();
-    std::vector<openflow::Xid> xids;
-    for (const auto& [xid, fn] : pending) xids.push_back(xid);
-    std::sort(xids.begin(), xids.end());
-    for (const openflow::Xid xid : xids) fail(xid, pending.at(xid));
-  };
-  std::uint64_t completions_lost = 0;
-  fail_all(session.pending_completions,
-           [&](openflow::Xid xid, PendingCompletion& pc) {
-             ++stats_.completions_failed;
-             ++completions_lost;
-             if (pc.done)
-               pc.done(synthetic_error(completion_code::kSwitchDown));
-             close_completion_span(dpid, xid, pc.span, "switch_down");
-           });
-  fail_all(session.pending_barriers, [](openflow::Xid, BarrierFn& fn) {
-    if (fn) fn(false);
-  });
-  fail_all(session.pending_flow_stats, [](openflow::Xid, FlowStatsFn& fn) {
-    if (fn) fn(nullptr);
-  });
-  fail_all(session.pending_port_stats, [](openflow::Xid, PortStatsFn& fn) {
-    if (fn) fn(nullptr);
-  });
-  fail_all(session.pending_roles, [](openflow::Xid, RoleFn& fn) {
-    if (fn) fn(nullptr);
-  });
+  // exactly once, with the down-error / null-reply path, in xid order
+  // across both tables.
+  auto completions = std::move(session.pending_completions);
+  auto replies = std::move(session.pending_replies);
+  session.pending_completions.clear();
+  session.pending_replies.clear();
+  std::vector<openflow::Xid> xids;
+  for (const auto& [xid, pc] : completions) xids.push_back(xid);
+  for (const auto& [xid, pr] : replies) xids.push_back(xid);
+  std::sort(xids.begin(), xids.end());
+  for (const openflow::Xid xid : xids) {
+    if (const auto it = replies.find(xid); it != replies.end()) {
+      it->second.done(nullptr);
+      continue;
+    }
+    PendingCompletion& pc = completions.at(xid);
+    ++stats_.completions_failed;
+    if (pc.done) pc.done(synthetic_error(completion_code::kSwitchDown));
+    close_completion_span(dpid, xid, pc.span, "switch_down");
+  }
   obs::FlightRecorder::global().record(obs::FlightEventKind::kSwitchDown,
-                                       dpid, completions_lost);
+                                       dpid, completions.size());
 
   const bool was_in_view = view_.has_switch(dpid);
   view_.remove_switch(dpid);
@@ -266,10 +271,7 @@ openflow::Xid Controller::next_xid(Dpid dpid) {
     if (session.next_xid == 0) session.next_xid = 1;
     xid = session.next_xid++;
   } while (session.pending_completions.contains(xid) ||
-           session.pending_barriers.contains(xid) ||
-           session.pending_flow_stats.contains(xid) ||
-           session.pending_port_stats.contains(xid) ||
-           session.pending_roles.contains(xid));
+           session.pending_replies.contains(xid));
   return xid;
 }
 
@@ -303,10 +305,7 @@ void Controller::register_app_metrics(const App& app) {
 openflow::Xid Controller::send_tracked(Dpid dpid, openflow::Message msg,
                                        CompletionFn done,
                                        obs::SpanContext span) {
-  auto& session = sessions_.at(dpid);
-  if (session.ever_up && !session.alive) {
-    // Fail fast, but asynchronously: callers expect the callback strictly
-    // after the send call returns.
+  if (known_down(dpid)) {
     ++stats_.completions_failed;
     if (span.valid()) {
       auto& tracer = obs::SpanTracer::global();
@@ -319,6 +318,7 @@ openflow::Xid Controller::send_tracked(Dpid dpid, openflow::Message msg,
     });
     return 0;
   }
+  auto& session = sessions_.at(dpid);
   const openflow::Xid xid = next_xid(dpid);
   if (span.valid()) {
     // The agent marks the apply boundary through this binding (ends the
@@ -445,65 +445,51 @@ void Controller::resolve_completions_acked_by(
 
 openflow::Xid Controller::flow_mod(Dpid dpid, const openflow::FlowMod& mod,
                                    CompletionFn done) {
-  ++stats_.flow_mods_sent;
-  CtrlMetrics::get().flow_mods.inc();
-  if (southbound_tap_) southbound_tap_(dpid, openflow::Message{mod});
-  const obs::SpanContext span = begin_southbound_span("flow_mod");
-  if (done)
-    return send_tracked(dpid, openflow::Message{mod}, std::move(done), span);
-  const openflow::Xid xid = next_xid(dpid);
-  if (span.valid())
-    obs::SpanTracer::global().bind(
-        obs::SpanTracer::key(SpanKey::kModUntracked, conn_id_, dpid, xid),
-        span);
-  send(dpid, openflow::Message{mod}, xid);
-  return xid;
+  return send_mod(dpid, openflow::Message{mod}, "flow_mod", std::move(done));
 }
 
 openflow::Xid Controller::group_mod(Dpid dpid, const openflow::GroupMod& mod,
                                     CompletionFn done) {
-  ++stats_.group_mods_sent;
-  if (southbound_tap_) southbound_tap_(dpid, openflow::Message{mod});
-  const obs::SpanContext span = begin_southbound_span("group_mod");
-  if (done)
-    return send_tracked(dpid, openflow::Message{mod}, std::move(done), span);
-  const openflow::Xid xid = next_xid(dpid);
-  if (span.valid())
-    obs::SpanTracer::global().bind(
-        obs::SpanTracer::key(SpanKey::kModUntracked, conn_id_, dpid, xid),
-        span);
-  send(dpid, openflow::Message{mod}, xid);
-  return xid;
+  return send_mod(dpid, openflow::Message{mod}, "group_mod", std::move(done));
 }
 
 openflow::Xid Controller::meter_mod(Dpid dpid, const openflow::MeterMod& mod,
                                     CompletionFn done) {
-  ++stats_.meter_mods_sent;
-  const obs::SpanContext span = begin_southbound_span("meter_mod");
-  if (done)
-    return send_tracked(dpid, openflow::Message{mod}, std::move(done), span);
-  const openflow::Xid xid = next_xid(dpid);
-  if (span.valid())
-    obs::SpanTracer::global().bind(
-        obs::SpanTracer::key(SpanKey::kModUntracked, conn_id_, dpid, xid),
-        span);
-  send(dpid, openflow::Message{mod}, xid);
-  return xid;
+  return send_mod(dpid, openflow::Message{mod}, "meter_mod", std::move(done));
 }
 
 openflow::Xid Controller::packet_out(Dpid dpid, const openflow::PacketOut& msg,
                                      CompletionFn done) {
-  ++stats_.packet_outs_sent;
-  CtrlMetrics::get().packet_outs.inc();
-  const obs::SpanContext span = begin_southbound_span("packet_out");
-  if (done)
-    return send_tracked(dpid, openflow::Message{msg}, std::move(done), span);
+  return send_mod(dpid, openflow::Message{msg}, "packet_out", std::move(done));
+}
+
+void Controller::count_mod(Dpid dpid, const openflow::Message& msg) {
+  if (std::holds_alternative<openflow::FlowMod>(msg)) {
+    ++stats_.flow_mods_sent;
+    CtrlMetrics::get().flow_mods.inc();
+    if (southbound_tap_) southbound_tap_(dpid, msg);
+  } else if (std::holds_alternative<openflow::GroupMod>(msg)) {
+    ++stats_.group_mods_sent;
+    if (southbound_tap_) southbound_tap_(dpid, msg);
+  } else if (std::holds_alternative<openflow::MeterMod>(msg)) {
+    ++stats_.meter_mods_sent;
+  } else {
+    ++stats_.packet_outs_sent;
+    CtrlMetrics::get().packet_outs.inc();
+  }
+}
+
+openflow::Xid Controller::send_mod(Dpid dpid, openflow::Message msg,
+                                   const char* span_name, CompletionFn done) {
+  count_mod(dpid, msg);
+  const obs::SpanContext span = begin_southbound_span(span_name);
+  if (done) return send_tracked(dpid, std::move(msg), std::move(done), span);
   const openflow::Xid xid = next_xid(dpid);
   if (span.valid())
     obs::SpanTracer::global().bind(
         obs::SpanTracer::key(SpanKey::kModUntracked, conn_id_, dpid, xid),
         span);
-  send(dpid, openflow::Message{msg}, xid);
+  send(dpid, msg, xid);
   return xid;
 }
 
@@ -520,18 +506,7 @@ openflow::Xid Controller::commit_bundle(Dpid dpid,
   }
   // Members count toward the same stats/tap surface as lone sends, so
   // determinism fingerprints and dashboards see one install stream.
-  for (const auto& member : members) {
-    if (std::holds_alternative<openflow::FlowMod>(member)) {
-      ++stats_.flow_mods_sent;
-      CtrlMetrics::get().flow_mods.inc();
-      if (southbound_tap_) southbound_tap_(dpid, member);
-    } else if (std::holds_alternative<openflow::GroupMod>(member)) {
-      ++stats_.group_mods_sent;
-      if (southbound_tap_) southbound_tap_(dpid, member);
-    } else if (std::holds_alternative<openflow::MeterMod>(member)) {
-      ++stats_.meter_mods_sent;
-    }
-  }
+  for (const auto& member : members) count_mod(dpid, member);
   const obs::SpanContext span = begin_southbound_span("bundle_commit");
   return send_bundle_attempt(
       dpid,
@@ -580,53 +555,63 @@ openflow::Xid Controller::send_bundle_attempt(
       std::move(retry_done), span);
 }
 
-template <typename Fn, typename Failed>
-bool Controller::fail_if_down(Dpid dpid, Fn& done, Failed failed) {
+bool Controller::known_down(Dpid dpid) const {
   const Session& session = sessions_.at(dpid);
-  if (!session.ever_up || session.alive) return false;
-  events().schedule_in(0, [done = std::move(done), failed] {
-    if (done) done(failed);
-  });
-  return true;
+  return session.ever_up && !session.alive;
+}
+
+void Controller::request(Dpid dpid, const openflow::Message& msg,
+                         openflow::MsgType reply_type, ReplyFn done) {
+  if (known_down(dpid)) {
+    events().schedule_in(0, [done = std::move(done)] { done(nullptr); });
+    return;
+  }
+  const openflow::Xid xid = next_xid(dpid);
+  sessions_.at(dpid).pending_replies.emplace(
+      xid, PendingReply{reply_type, std::move(done)});
+  send(dpid, msg, xid);
+}
+
+void Controller::resolve_reply(Session& session, openflow::Xid xid,
+                               const openflow::Message& reply) {
+  const auto it = session.pending_replies.find(xid);
+  if (it == session.pending_replies.end() ||
+      it->second.reply_type != openflow::type_of(reply))
+    return;
+  ReplyFn done = std::move(it->second.done);
+  session.pending_replies.erase(it);
+  done(&reply);
 }
 
 void Controller::barrier(Dpid dpid, BarrierFn done) {
-  if (fail_if_down(dpid, done, false)) return;
-  const openflow::Xid xid = next_xid(dpid);
-  sessions_.at(dpid).pending_barriers[xid] = std::move(done);
-  send(dpid, openflow::Message{openflow::BarrierRequest{}}, xid);
+  request(dpid, openflow::Message{openflow::BarrierRequest{}},
+          openflow::MsgType::BarrierReply,
+          [done = std::move(done)](const openflow::Message* reply) {
+            if (done) done(reply != nullptr);
+          });
 }
 
 void Controller::request_flow_stats(Dpid dpid,
                                     const openflow::FlowStatsRequest& req,
                                     FlowStatsFn done) {
-  if (fail_if_down(dpid, done, nullptr)) return;
-  const openflow::Xid xid = next_xid(dpid);
-  sessions_.at(dpid).pending_flow_stats[xid] = std::move(done);
-  send(dpid, openflow::Message{req}, xid);
+  request(dpid, openflow::Message{req}, openflow::MsgType::FlowStatsReply,
+          typed_reply(std::move(done)));
 }
 
 void Controller::request_port_stats(Dpid dpid,
                                     const openflow::PortStatsRequest& req,
                                     PortStatsFn done) {
-  if (fail_if_down(dpid, done, nullptr)) return;
-  const openflow::Xid xid = next_xid(dpid);
-  sessions_.at(dpid).pending_port_stats[xid] = std::move(done);
-  send(dpid, openflow::Message{req}, xid);
+  request(dpid, openflow::Message{req}, openflow::MsgType::PortStatsReply,
+          typed_reply(std::move(done)));
 }
 
 void Controller::request_role(Dpid dpid, openflow::ControllerRole role,
                               std::uint64_t generation_id, RoleFn done) {
-  // Callers aggregating an election need the verdict of a known-down
-  // switch now, not when heartbeats notice.
-  if (fail_if_down(dpid, done, nullptr)) return;
-  auto& session = sessions_.at(dpid);
-  const openflow::Xid xid = next_xid(dpid);
-  if (done) session.pending_roles[xid] = std::move(done);
   openflow::RoleRequest req;
   req.role = role;
   req.generation_id = generation_id;
-  send(dpid, openflow::Message{req}, xid);
+  request(dpid, openflow::Message{req}, openflow::MsgType::RoleReply,
+          typed_reply(std::move(done)));
 }
 
 void Controller::request_role_all(openflow::ControllerRole role,
@@ -707,22 +692,51 @@ void Controller::flood_packet(Dpid dpid, std::uint32_t in_port,
   packet_out(dpid, out);
 }
 
+void Controller::flood_to_edge_ports(const openflow::Bytes& data,
+                                     Dpid except_dpid,
+                                     std::uint32_t except_port) {
+  for (const Dpid dpid : view_.switch_ids()) {
+    const auto* features = view_.switch_features(dpid);
+    if (!features) continue;
+    openflow::PacketOut out;
+    out.in_port = openflow::Ports::kController;
+    for (const auto& port : features->ports) {
+      if (view_.is_infrastructure_port(dpid, port.port_no)) continue;
+      if (dpid == except_dpid && port.port_no == except_port) continue;
+      out.actions.push_back(openflow::OutputAction{port.port_no, 0xffff});
+    }
+    if (out.actions.empty()) continue;
+    out.data = data;
+    packet_out(dpid, out);
+  }
+}
+
+void Controller::proxy_arp(const PacketInEvent& event) {
+  const net::ArpMessage& arp = *event.parsed->arp;
+  if (arp.opcode == net::ArpMessage::kRequest) {
+    if (const HostInfo* target = view_.host_by_ip(arp.target_ip)) {
+      openflow::PacketOut out;
+      out.in_port = openflow::Ports::kController;
+      out.actions = {openflow::OutputAction{event.pin->in_port, 0xffff}};
+      out.data = net::build_arp_reply(target->mac, arp.target_ip,
+                                      arp.sender_mac, arp.sender_ip);
+      packet_out(event.dpid, out);
+      return;
+    }
+  }
+  // Unknown target (or a reply we can't shortcut): edge-flood, loop-free.
+  flood_to_edge_ports(event.pin->data, event.dpid, event.pin->in_port);
+}
+
 void Controller::on_batch(Dpid dpid,
                           std::vector<openflow::OwnedMessage> batch) {
   if (halted_) return;  // a dead controller processes nothing
-  // Model controller-side processing latency before dispatch. One event
-  // covers the whole delivered batch: each message still dispatches at the
-  // same virtual time and in the same order as per-message events would.
-  if (options_.processing_delay_s > 0) {
-    events().schedule_in(options_.processing_delay_s,
-                         [this, dpid, batch = std::move(batch)]() mutable {
-                           if (halted_) return;
-                           for (auto& owned : batch)
-                             dispatch(dpid, std::move(owned));
-                         });
-  } else {
-    for (auto& owned : batch) dispatch(dpid, std::move(owned));
-  }
+  events().schedule_in(kProcessingDelayS,
+                       [this, dpid, batch = std::move(batch)]() mutable {
+                         if (halted_) return;
+                         for (auto& owned : batch)
+                           dispatch(dpid, std::move(owned));
+                       });
 }
 
 void Controller::learn_host_from(Dpid dpid, const openflow::PacketIn& pin,
@@ -848,26 +862,6 @@ void Controller::dispatch(Dpid dpid, openflow::OwnedMessage owned) {
           // processed by this barrier — including ones whose own barrier
           // reply was lost.
           resolve_completions_acked_by(dpid, msg.acked);
-          const auto it = session.pending_barriers.find(owned.xid);
-          if (it != session.pending_barriers.end()) {
-            auto fn = std::move(it->second);
-            session.pending_barriers.erase(it);
-            if (fn) fn(true);
-          }
-        } else if constexpr (std::is_same_v<T, openflow::FlowStatsReply>) {
-          const auto it = session.pending_flow_stats.find(owned.xid);
-          if (it != session.pending_flow_stats.end()) {
-            auto fn = std::move(it->second);
-            session.pending_flow_stats.erase(it);
-            if (fn) fn(&msg);
-          }
-        } else if constexpr (std::is_same_v<T, openflow::PortStatsReply>) {
-          const auto it = session.pending_port_stats.find(owned.xid);
-          if (it != session.pending_port_stats.end()) {
-            auto fn = std::move(it->second);
-            session.pending_port_stats.erase(it);
-            if (fn) fn(&msg);
-          }
         } else if constexpr (std::is_same_v<T, openflow::RoleReply>) {
           if (msg.accepted && session.granted_role != msg.role) {
             const auto old_role = session.granted_role;
@@ -896,12 +890,6 @@ void Controller::dispatch(Dpid dpid, openflow::OwnedMessage owned) {
           } else if (msg.accepted) {
             session.granted_role = msg.role;
           }
-          const auto it = session.pending_roles.find(owned.xid);
-          if (it != session.pending_roles.end()) {
-            auto fn = std::move(it->second);
-            session.pending_roles.erase(it);
-            if (fn) fn(&msg);
-          }
         } else if constexpr (std::is_same_v<T, openflow::ErrorMsg>) {
           ++stats_.errors_received;
           CtrlMetrics::get().errors.inc();
@@ -927,6 +915,13 @@ void Controller::dispatch(Dpid dpid, openflow::OwnedMessage owned) {
             declare_switch_down(dpid);
           }
         }
+        // A reply resolves the request waiting under its xid, after the
+        // barrier's acks and the role grant above have taken effect.
+        if constexpr (std::is_same_v<T, openflow::BarrierReply> ||
+                      std::is_same_v<T, openflow::FlowStatsReply> ||
+                      std::is_same_v<T, openflow::PortStatsReply> ||
+                      std::is_same_v<T, openflow::RoleReply>)
+          resolve_reply(session, owned.xid, owned.msg);
       },
       owned.msg);
 }

@@ -10,6 +10,12 @@
 //
 // App dispatch: PacketIns run through the app chain in registration order
 // until one returns true ("handled"). Other events are broadcast to all.
+//
+// Transactions: every mod (flow/group/meter mod, packet out) leaves through
+// one send routine that counts it (and taps FlowMods and GroupMods), opens
+// its span and sends it tracked or fire-and-forget. Barrier, stats and role
+// requests share one request routine and one xid-keyed table of pending
+// replies; a reply resolves only a request of its own type.
 #pragma once
 
 #include <functional>
@@ -111,9 +117,6 @@ class Controller {
   struct Options {
     // One-way channel latency (switch <-> controller).
     double channel_latency_s = 100e-6;
-    // Controller-side processing delay applied before dispatching an
-    // incoming message to apps (models scheduling + deserialization).
-    double processing_delay_s = 10e-6;
 
     // ---- transactional southbound ----
     // A tracked send (one with a completion callback) is followed by a
@@ -253,6 +256,15 @@ class Controller {
   void install_table_miss(Dpid dpid, std::uint8_t table_id = 0);
   void flood_packet(Dpid dpid, std::uint32_t in_port, const openflow::Bytes& data,
                     std::uint32_t buffer_id = openflow::kNoBuffer);
+  // Sends `data` out of every edge (non-infrastructure) port in the view
+  // except the one it came in on: a flood that stays loop-free on
+  // multi-path fabrics.
+  void flood_to_edge_ports(const openflow::Bytes& data, Dpid except_dpid,
+                           std::uint32_t except_port);
+  // Proxy ARP for a punted ARP packet: a request for a host the view knows
+  // is answered straight out of the requester's port; anything else is
+  // edge-flooded.
+  void proxy_arp(const PacketInEvent& event);
 
   // ---- fault tolerance ----
   // Liveness as the controller sees it: true once the handshake completed
@@ -316,6 +328,14 @@ class Controller {
     obs::SpanContext span;
   };
 
+  // A barrier, stats or role request awaiting its reply. `done` receives
+  // the reply, or nullptr when the switch is declared down first.
+  using ReplyFn = std::function<void(const openflow::Message*)>;
+  struct PendingReply {
+    openflow::MsgType reply_type;  // only a reply of this type resolves it
+    ReplyFn done;
+  };
+
   struct Session {
     std::unique_ptr<Channel> channel;
     std::unique_ptr<Southbound> southbound;
@@ -339,11 +359,10 @@ class Controller {
     int echo_misses = 0;
     bool echo_outstanding = false;
     double backoff_s = 0;
+    // Every callback waiting on the switch, keyed by xid. The two tables
+    // never share an xid, and a down verdict fails both in xid order.
     std::unordered_map<openflow::Xid, PendingCompletion> pending_completions;
-    std::unordered_map<openflow::Xid, BarrierFn> pending_barriers;
-    std::unordered_map<openflow::Xid, FlowStatsFn> pending_flow_stats;
-    std::unordered_map<openflow::Xid, PortStatsFn> pending_port_stats;
-    std::unordered_map<openflow::Xid, RoleFn> pending_roles;
+    std::unordered_map<openflow::Xid, PendingReply> pending_replies;
     openflow::ControllerRole granted_role = openflow::ControllerRole::Equal;
   };
 
@@ -363,6 +382,13 @@ class Controller {
                        const net::ParsedPacket& parsed);
   void handle_features_reply(Dpid dpid, Session& session,
                              const openflow::FeaturesReply& msg);
+  // The one way a mod leaves: counted, shown to the tap, given a span
+  // named `span_name`, then sent tracked (with `done`) or fire-and-forget.
+  openflow::Xid send_mod(Dpid dpid, openflow::Message msg,
+                         const char* span_name, CompletionFn done);
+  // Counts a mod, lone or bundled, toward ControllerStats and the metrics,
+  // and shows FlowMods and GroupMods to the southbound tap.
+  void count_mod(Dpid dpid, const openflow::Message& msg);
   // Transactional sends.
   openflow::Xid send_tracked(Dpid dpid, openflow::Message msg,
                              CompletionFn done,
@@ -377,12 +403,17 @@ class Controller {
                           std::optional<openflow::Error> error);
   void resolve_completions_acked_by(Dpid dpid,
                                     const std::vector<std::uint32_t>& acked);
-  // A switch declared down answers nothing, so a barrier, stats or role
-  // request to it fails fast: `done(failed)` fires from a zero-delay event
-  // (callers expect the callback strictly after the call returns) instead
-  // of the request waiting in the dead channel. True when it failed.
-  template <typename Fn, typename Failed>
-  bool fail_if_down(Dpid dpid, Fn& done, Failed failed);
+  // Sends a barrier, stats or role request and parks `done` until a reply
+  // of `reply_type` arrives under its xid.
+  void request(Dpid dpid, const openflow::Message& msg,
+               openflow::MsgType reply_type, ReplyFn done);
+  void resolve_reply(Session& session, openflow::Xid xid,
+                     const openflow::Message& reply);
+  // A switch declared down answers nothing, so a tracked send or request
+  // to it fails fast, from a zero-delay event (callers expect the callback
+  // strictly after the call returns), instead of waiting in the dead
+  // channel.
+  bool known_down(Dpid dpid) const;
   // Liveness.
   void start_handshake(Dpid dpid);
   void schedule_echo(Dpid dpid, std::uint64_t epoch);

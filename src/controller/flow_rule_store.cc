@@ -1,6 +1,7 @@
 #include "controller/flow_rule_store.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "obs/obs.h"
 #include "util/logging.h"
@@ -96,26 +97,41 @@ bool FlowRuleStore::evict_lowest_importance(Dpid dpid,
   return true;
 }
 
-void FlowRuleStore::handle_table_full(Dpid dpid, const openflow::FlowMod& mod,
-                                      CompletionFn done,
-                                      const openflow::Error& err) {
+void FlowRuleStore::handle_table_full(
+    Dpid dpid, const std::vector<openflow::FlowMod>& mods, CompletionFn done,
+    const openflow::Error& err) {
   ++stats_.table_full_rejections;
   StoreMetrics::get().table_full.inc();
+  const openflow::FlowMod& front = mods.front();
   obs::FlightRecorder::global().record(obs::FlightEventKind::kTableFull, dpid,
-                                       mod.table_id, "rulestore");
-  IntendedRule* rule = find_rule(dpid, mod);
-  if (rule && rule->table_full_retries < kMaxTableFullRetries &&
-      evict_lowest_importance(dpid, mod)) {
-    ++rule->table_full_retries;
-    auto& tracer = obs::SpanTracer::global();
-    tracer.annotate(tracer.current(), "table_full_retry");
-    send_install(dpid, mod, std::move(done));
-    return;
+                                       front.table_id, "rulestore");
+  // The retry budget is tracked on the first mod: a bundle retries and
+  // degrades as a unit, so one representative counter is enough.
+  const IntendedRule* rep = find_rule(dpid, front);
+  if (rep && rep->table_full_retries < kMaxTableFullRetries) {
+    // The switch rejected the install for want of (at worst) one slot per
+    // mod: sacrifice up to that many lower-importance rules, then re-send
+    // the whole list.
+    std::size_t freed = 0;
+    while (freed < mods.size() && evict_lowest_importance(dpid, front))
+      ++freed;
+    if (freed > 0) {
+      for (const auto& mod : mods) {
+        if (IntendedRule* rule = find_rule(dpid, mod))
+          ++rule->table_full_retries;
+      }
+      auto& tracer = obs::SpanTracer::global();
+      tracer.annotate(tracer.current(), "table_full_retry");
+      send_install(dpid, mods, std::move(done));
+      return;
+    }
   }
   // No room and nothing expendable: park the intent as degraded so repeated
-  // audits/recompiles don't hammer a full table, and surface the typed
-  // failure to the caller.
-  if (rule && !rule->degraded) {
+  // audits/recompiles don't hammer a full table — a multi-rule path only as
+  // a whole — and surface the typed failure to the caller.
+  for (const auto& mod : mods) {
+    IntendedRule* rule = find_rule(dpid, mod);
+    if (!rule || rule->degraded) continue;
     rule->degraded = true;
     ++stats_.rules_degraded;
     StoreMetrics::get().degraded.inc();
@@ -126,88 +142,47 @@ void FlowRuleStore::handle_table_full(Dpid dpid, const openflow::FlowMod& mod,
   if (done) done(err);
 }
 
-openflow::Xid FlowRuleStore::send_install(Dpid dpid,
-                                          const openflow::FlowMod& mod,
-                                          CompletionFn done) {
+openflow::Xid FlowRuleStore::send_install(
+    Dpid dpid, std::vector<openflow::FlowMod> mods, CompletionFn done) {
   // Capture the causal span so a TableFull repair ladder re-enters the
   // original trace: the eviction and the retried install show up as
   // sibling spans of the rejected attempt.
   const obs::SpanContext span = obs::SpanTracer::global().current();
-  return controller_.flow_mod(
-      dpid, mod,
-      [this, dpid, mod, span, done = std::move(done)](
-          const std::optional<openflow::Error>& err) {
-        if (err && openflow::is_table_full(*err)) {
-          obs::SpanTracer::Scope scope(span);
-          handle_table_full(dpid, mod, done, *err);
-          return;
-        }
-        if (done) done(err);
-      });
-}
-
-void FlowRuleStore::handle_bundle_table_full(
-    Dpid dpid, std::shared_ptr<const std::vector<openflow::FlowMod>> mods,
-    CompletionFn done, const openflow::Error& err) {
-  ++stats_.table_full_rejections;
-  StoreMetrics::get().table_full.inc();
-  obs::FlightRecorder::global().record(obs::FlightEventKind::kTableFull, dpid,
-                                       mods->front().table_id, "rulestore");
-  // The retry budget is tracked on the first member: the bundle retries and
-  // degrades as a unit, so one representative counter is enough.
-  IntendedRule* rep = find_rule(dpid, mods->front());
-  if (rep && rep->table_full_retries < kMaxTableFullRetries) {
-    // The switch rejected the whole bundle for want of (at worst) one slot
-    // per member: sacrifice up to that many lower-importance rules, then
-    // re-commit the whole bundle.
-    std::size_t freed = 0;
-    for (std::size_t i = 0; i < mods->size(); ++i) {
-      if (!evict_lowest_importance(dpid, mods->front())) break;
-      ++freed;
-    }
-    if (freed > 0) {
-      for (const auto& mod : *mods) {
-        if (IntendedRule* rule = find_rule(dpid, mod))
-          ++rule->table_full_retries;
-      }
-      auto& tracer = obs::SpanTracer::global();
-      tracer.annotate(tracer.current(), "table_full_retry");
-      send_install_bundle(dpid, std::move(mods), std::move(done));
+  const auto list =
+      std::make_shared<const std::vector<openflow::FlowMod>>(std::move(mods));
+  CompletionFn on_done = [this, dpid, list, span, done = std::move(done)](
+                             const std::optional<openflow::Error>& err) {
+    if (err && openflow::is_table_full(*err)) {
+      obs::SpanTracer::Scope scope(span);
+      handle_table_full(dpid, *list, done, *err);
       return;
     }
-  }
-  // No room and nothing expendable: the path is only useful whole, so park
-  // every member as degraded together.
-  for (const auto& mod : *mods) {
-    IntendedRule* rule = find_rule(dpid, mod);
-    if (rule && !rule->degraded) {
-      rule->degraded = true;
-      ++stats_.rules_degraded;
-      StoreMetrics::get().degraded.inc();
-    }
-  }
-  ZEN_LOG(Warn) << "rule store: dpid " << dpid << " table "
-                << int(mods->front().table_id) << " full; bundle of "
-                << mods->size() << " rules degraded";
-  if (done) done(err);
+    if (done) done(err);
+  };
+  if (list->size() == 1)
+    return controller_.flow_mod(dpid, list->front(), std::move(on_done));
+  return controller_.commit_bundle(
+      dpid, std::vector<openflow::Message>(list->begin(), list->end()),
+      std::move(on_done));
 }
 
-void FlowRuleStore::send_install_bundle(
-    Dpid dpid, std::shared_ptr<const std::vector<openflow::FlowMod>> mods,
-    CompletionFn done) {
-  const obs::SpanContext span = obs::SpanTracer::global().current();
-  std::vector<openflow::Message> members(mods->begin(), mods->end());
-  controller_.commit_bundle(
-      dpid, std::move(members),
-      [this, dpid, mods = std::move(mods), span, done = std::move(done)](
-          const std::optional<openflow::Error>& err) {
-        if (err && openflow::is_table_full(*err)) {
-          obs::SpanTracer::Scope scope(span);
-          handle_bundle_table_full(dpid, mods, done, *err);
-          return;
-        }
-        if (done) done(err);
-      });
+openflow::FlowMod FlowRuleStore::record_intent(Dpid dpid,
+                                               const openflow::FlowMod& mod) {
+  ++stats_.installs;
+  if (mod.cookie != 0) managed_cookies_.insert(mod.cookie);
+  openflow::FlowMod intended = mod;
+  intended.command = openflow::FlowModCommand::Add;
+  intended.buffer_id = openflow::kNoBuffer;  // reinstalls can't cite buffers
+  if (IntendedRule* existing = find_rule(dpid, intended)) {
+    // A fresh install statement resets any degraded parking: the caller
+    // explicitly wants this rule again.
+    existing->mod = intended;
+    existing->degraded = false;
+    existing->table_full_retries = 0;
+  } else {
+    switches_[dpid].rules.push_back(IntendedRule{intended});
+  }
+  return intended;
 }
 
 void FlowRuleStore::install_bundle(Dpid dpid,
@@ -223,44 +198,14 @@ void FlowRuleStore::install_bundle(Dpid dpid,
     install(dpid, mods.front(), std::move(done));
     return;
   }
-  stats_.installs += mods.size();
-  for (auto& mod : mods) {
-    if (mod.cookie != 0) managed_cookies_.insert(mod.cookie);
-    mod.command = openflow::FlowModCommand::Add;
-    mod.buffer_id = openflow::kNoBuffer;  // reinstalls can't cite buffers
-    if (IntendedRule* existing = find_rule(dpid, mod)) {
-      existing->mod = mod;
-      existing->degraded = false;
-      existing->table_full_retries = 0;
-    } else {
-      switches_[dpid].rules.push_back(IntendedRule{mod});
-    }
-  }
-  send_install_bundle(
-      dpid,
-      std::make_shared<const std::vector<openflow::FlowMod>>(std::move(mods)),
-      std::move(done));
+  for (auto& mod : mods) mod = record_intent(dpid, mod);
+  send_install(dpid, std::move(mods), std::move(done));
 }
 
 openflow::Xid FlowRuleStore::install(Dpid dpid, const openflow::FlowMod& mod,
                                      CompletionFn done) {
-  ++stats_.installs;
-  if (mod.cookie != 0) managed_cookies_.insert(mod.cookie);
-
-  openflow::FlowMod intended = mod;
-  intended.command = openflow::FlowModCommand::Add;
-  intended.buffer_id = openflow::kNoBuffer;  // reinstalls can't cite buffers
-  if (IntendedRule* existing = find_rule(dpid, intended)) {
-    // A fresh install statement resets any degraded parking: the caller
-    // explicitly wants this rule again.
-    existing->mod = std::move(intended);
-    existing->degraded = false;
-    existing->table_full_retries = 0;
-  } else {
-    switches_[dpid].rules.push_back(IntendedRule{std::move(intended)});
-  }
-
-  return send_install(dpid, mod, std::move(done));
+  record_intent(dpid, mod);
+  return send_install(dpid, {mod}, std::move(done));
 }
 
 openflow::Xid FlowRuleStore::remove(Dpid dpid, const openflow::FlowMod& del,
@@ -452,7 +397,7 @@ void FlowRuleStore::reconcile(Dpid dpid,
     ++missing;
     ++stats_.repairs_installed;
     StoreMetrics::get().repairs.inc();
-    send_install(dpid, mod, [](const std::optional<openflow::Error>&) {});
+    send_install(dpid, {mod}, [](const std::optional<openflow::Error>&) {});
   }
 
   // Orphans: actual rules carrying a cookie this store manages but whose

@@ -13,12 +13,16 @@
 //     == actual or the round budget runs out. The controller triggers an
 //     audit automatically when a switch reconnects after a crash.
 //
+// Every install — lone, bundled, or an audit repair — goes out through one
+// TableFull ladder (send_install): a full table makes the store sacrifice
+// its own lower-importance rules and retry, and parks the intent degraded
+// once nothing more can give.
+//
 // Rules with cookie 0 are invisible to the store: table-miss entries, ARP
 // punts and other app plumbing are never treated as orphans.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -74,11 +78,11 @@ class FlowRuleStore {
                         CompletionFn done = nullptr);
   // Records every mod as intended and commits them through a southbound
   // bundle: the switch applies all of them or none. `done` fires once with
-  // the bundle verdict. A TableFull rejection of any member runs the same
-  // evict-retry-then-degrade ladder as install(), but the retry re-commits
-  // the whole bundle and a final failure parks every member as degraded —
-  // a multi-rule path is only intent-complete as a unit. A single-element
-  // bundle degenerates to install().
+  // the bundle verdict. A TableFull rejection of any member runs install()'s
+  // evict-retry-then-degrade ladder over the whole bundle: the retry
+  // re-commits every member and a final failure parks every member as
+  // degraded — a multi-rule path is only intent-complete as a unit. A
+  // single-element bundle degenerates to install().
   void install_bundle(Dpid dpid, std::vector<openflow::FlowMod> mods,
                       CompletionFn done = nullptr);
   // Drops matching intended entries and sends the delete. Strict deletes
@@ -145,20 +149,18 @@ class FlowRuleStore {
   void reconcile(Dpid dpid, const openflow::FlowStatsReply& reply);
   void finish(Dpid dpid, bool converged);
 
-  // Sends `mod` with a completion wrapper that turns TableFull errors into
-  // the evict-retry-then-degrade sequence.
-  openflow::Xid send_install(Dpid dpid, const openflow::FlowMod& mod,
+  // The TableFull ladder, one for installs and bundles. A list of one
+  // goes out as a FlowMod, a longer one as a bundle. A TableFull verdict
+  // sacrifices up to one rule per mod, each less important than the first
+  // mod, and re-sends the whole list; once retries or victims run out,
+  // every mod is parked degraded.
+  openflow::Xid send_install(Dpid dpid, std::vector<openflow::FlowMod> mods,
                              CompletionFn done);
-  void handle_table_full(Dpid dpid, const openflow::FlowMod& mod,
+  void handle_table_full(Dpid dpid, const std::vector<openflow::FlowMod>& mods,
                          CompletionFn done, const openflow::Error& err);
-  // Bundle flavors of the two above: the retry ladder re-commits the whole
-  // member list, and degradation applies to every member at once.
-  void send_install_bundle(
-      Dpid dpid, std::shared_ptr<const std::vector<openflow::FlowMod>> mods,
-      CompletionFn done);
-  void handle_bundle_table_full(
-      Dpid dpid, std::shared_ptr<const std::vector<openflow::FlowMod>> mods,
-      CompletionFn done, const openflow::Error& err);
+  // Upserts `mod` as intended on `dpid` (un-parking a degraded entry) and
+  // returns the normalized Add it is recorded as.
+  openflow::FlowMod record_intent(Dpid dpid, const openflow::FlowMod& mod);
   // Sacrifices the lowest-importance non-degraded intended rule in the
   // incoming mod's table (importance strictly below the incoming one):
   // marks it degraded and deletes it from the switch. False if none.

@@ -29,6 +29,11 @@ obs::Slo& flow_setup_slo() {
 
 using SpanKey = obs::SpanTracer::Key;
 
+// Verdict for a state-modifying message on a slave connection
+// (OpenFlow's OFPBRC_IS_SLAVE).
+constexpr dataplane::ModStatus kIsSlave{false, openflow::ErrorType::BadRequest,
+                                        9};
+
 }  // namespace
 
 SwitchAgent::SwitchAgent(sim::SimNetwork& net, topo::NodeId dpid,
@@ -181,22 +186,11 @@ void SwitchAgent::handle_bundle(const openflow::Experimenter& exp,
     send_error(xid, ErrorType::BadRequest, 0);
     return;
   }
-  const auto ack_mod = [&] {
-    if (acked_mods_.size() >= kMaxAckedMods) acked_mods_.pop_front();
-    acked_mods_.push_back(xid);
-  };
-  const auto reject = [&](ErrorType type, std::uint16_t code) {
-    obs::FlightRecorder::global().record(
-        obs::FlightEventKind::kModRejected, dpid_,
-        (static_cast<std::uint64_t>(type) << 16) | code);
-    send_error(xid, type, code);
-    close_southbound_span(xid, /*applied=*/false);
-  };
   // Bundles modify state: slave connections may not touch them. Only the
   // commit is tracked, but rejecting open/add early keeps a slave from
   // even staging.
   if (role() == ControllerRole::Slave) {
-    reject(ErrorType::BadRequest, /*kIsSlave*/ 9);
+    settle(xid, kIsSlave);
     return;
   }
 
@@ -236,14 +230,13 @@ void SwitchAgent::handle_bundle(const openflow::Experimenter& exp,
           if (already_committed(bm.bundle_id)) {
             // Retransmitted commit for an applied bundle: ack again, apply
             // nothing.
-            ack_mod();
-            close_southbound_span(xid, /*applied=*/true);
+            settle(xid, {});
             return;
           }
           auto it = open_bundles_.find(bm.bundle_id);
           if (it == open_bundles_.end()) {
-            reject(ErrorType::BundleFailed,
-                   bundle_failed_code::kUnknownBundle);
+            settle(xid, {false, ErrorType::BundleFailed,
+                         bundle_failed_code::kUnknownBundle});
             return;
           }
           // Complete iff members 0..n-1 are all staged (map is ordered).
@@ -253,8 +246,8 @@ void SwitchAgent::handle_bundle(const openflow::Experimenter& exp,
                std::prev(it->second.end())->first == bm.n_members - 1);
           if (!complete) {
             open_bundles_.erase(it);
-            reject(ErrorType::BundleFailed,
-                   bundle_failed_code::kBundleIncomplete);
+            settle(xid, {false, ErrorType::BundleFailed,
+                         bundle_failed_code::kBundleIncomplete});
             return;
           }
           std::vector<Message> members;
@@ -262,19 +255,16 @@ void SwitchAgent::handle_bundle(const openflow::Experimenter& exp,
           for (auto& [idx, member] : it->second)
             members.push_back(std::move(member));
           open_bundles_.erase(it);
+          // A failure surfaces the failing member's own error type/code,
+          // so the controller's repair ladders (e.g. TableFull) see exactly
+          // what a lone mod would have produced.
           const auto status = net_.commit_bundle(dpid_, members);
           if (status.ok) {
             if (committed_bundles_.size() >= kMaxCommittedBundles)
               committed_bundles_.pop_front();
             committed_bundles_.push_back(bm.bundle_id);
-            ack_mod();
-            close_southbound_span(xid, /*applied=*/true);
-          } else {
-            // Surfaces the failing member's own error type/code, so the
-            // controller's repair ladders (e.g. TableFull) see exactly
-            // what a lone mod would have produced.
-            reject(status.error_type, status.error_code);
           }
+          settle(xid, status);
         } else if constexpr (std::is_same_v<T, BundleDiscard>) {
           open_bundles_.erase(bm.bundle_id);
         }
@@ -308,25 +298,8 @@ void SwitchAgent::handle(openflow::OwnedMessage owned) {
     last_boot_id_ = sw.boot_count();
   }
 
-  // Ack only state that actually changed: rejected mods resolve through
-  // their Error, never through a barrier ack (a lost Error then leads to
-  // a retransmit, not a false success).
-  const auto ack_mod = [&] {
-    if (acked_mods_.size() >= kMaxAckedMods) acked_mods_.pop_front();
-    acked_mods_.push_back(xid);
-  };
-
   // Role enforcement: a slave connection may not modify state.
   const bool is_slave = role() == ControllerRole::Slave;
-
-  // Mod rejection: wire error + flight-recorder entry + span closure.
-  const auto reject_mod = [&](ErrorType type, std::uint16_t code) {
-    obs::FlightRecorder::global().record(
-        obs::FlightEventKind::kModRejected, dpid_,
-        (static_cast<std::uint64_t>(type) << 16) | code);
-    send_error(xid, type, code);
-    close_southbound_span(xid, /*applied=*/false);
-  };
 
   std::visit(
       [&](auto& msg) {
@@ -334,7 +307,7 @@ void SwitchAgent::handle(openflow::OwnedMessage owned) {
         if constexpr (std::is_same_v<T, FlowMod> || std::is_same_v<T, GroupMod> ||
                       std::is_same_v<T, MeterMod> || std::is_same_v<T, PacketOut>) {
           if (is_slave) {
-            reject_mod(ErrorType::BadRequest, /*kIsSlave*/ 9);
+            settle(xid, kIsSlave);
             return;
           }
         }
@@ -360,29 +333,11 @@ void SwitchAgent::handle(openflow::OwnedMessage owned) {
               break;
             }
           }
-          const auto status = net_.flow_mod(dpid_, msg);
-          if (status.ok) {
-            ack_mod();
-            close_southbound_span(xid, /*applied=*/true);
-          } else {
-            reject_mod(status.error_type, status.error_code);
-          }
+          settle(xid, net_.flow_mod(dpid_, msg));
         } else if constexpr (std::is_same_v<T, GroupMod>) {
-          const auto status = net_.group_mod(dpid_, msg);
-          if (status.ok) {
-            ack_mod();
-            close_southbound_span(xid, /*applied=*/true);
-          } else {
-            reject_mod(status.error_type, status.error_code);
-          }
+          settle(xid, net_.group_mod(dpid_, msg));
         } else if constexpr (std::is_same_v<T, MeterMod>) {
-          const auto status = net_.meter_mod(dpid_, msg);
-          if (status.ok) {
-            ack_mod();
-            close_southbound_span(xid, /*applied=*/true);
-          } else {
-            reject_mod(status.error_type, status.error_code);
-          }
+          settle(xid, net_.meter_mod(dpid_, msg));
         } else if constexpr (std::is_same_v<T, PacketOut>) {
           // A PacketOut answering a buffered punt consumes the buffer: the
           // punt can no longer be answered by a FlowMod (flood decisions).
@@ -393,8 +348,7 @@ void SwitchAgent::handle(openflow::OwnedMessage owned) {
             break;
           }
           net_.packet_out(dpid_, msg);
-          ack_mod();
-          close_southbound_span(xid, /*applied=*/true);
+          settle(xid, {});
         } else if constexpr (std::is_same_v<T, BarrierRequest>) {
           reply(Message{BarrierReply{
                     {acked_mods_.begin(), acked_mods_.end()}}},
@@ -432,6 +386,24 @@ void SwitchAgent::handle(openflow::OwnedMessage owned) {
         }
       },
       owned.msg);
+}
+
+void SwitchAgent::settle(openflow::Xid xid,
+                         const dataplane::ModStatus& status) {
+  if (status.ok) {
+    // Ack only state that actually changed: rejected mods resolve through
+    // their Error, never through a barrier ack (a lost Error then leads to
+    // a retransmit, not a false success).
+    if (acked_mods_.size() >= kMaxAckedMods) acked_mods_.pop_front();
+    acked_mods_.push_back(xid);
+  } else {
+    obs::FlightRecorder::global().record(
+        obs::FlightEventKind::kModRejected, dpid_,
+        (static_cast<std::uint64_t>(status.error_type) << 16) |
+            status.error_code);
+    send_error(xid, status.error_type, status.error_code);
+  }
+  close_southbound_span(xid, status.ok);
 }
 
 void SwitchAgent::close_southbound_span(openflow::Xid xid, bool applied) {

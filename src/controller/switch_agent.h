@@ -5,7 +5,8 @@
 // FlowRemoved) back onto the wire. One agent per switch. All wire traffic
 // flows through a Southbound facade: requests arrive as decoded batches,
 // and replies generated while a batch is processed coalesce into one
-// response flush.
+// response flush. Every state-modifying message, lone or a bundle commit,
+// ends in settle(): ack or reject, then close its span.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +86,11 @@ class SwitchAgent {
   void reply(const openflow::Message& msg, openflow::Xid xid);
   void send_error(openflow::Xid xid, openflow::ErrorType type,
                   std::uint16_t code);
+  // The one verdict path for a state-modifying message (mod, PacketOut,
+  // bundle commit): applied, its xid joins the ack window; rejected, the
+  // rejection is flight-recorded and answered with the Error. Either way
+  // its southbound span closes.
+  void settle(openflow::Xid xid, const dataplane::ModStatus& status);
   // Ends the causal span the controller bound under this mod's xid. For an
   // applied tracked mod the agent opens the barrier_ack span in its place;
   // an applied untracked (fire-and-forget) mod closes its whole trace here,

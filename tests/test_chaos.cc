@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "controller/channel.h"
@@ -748,6 +749,51 @@ TEST(Liveness, SwitchDownFailsPlainBarrierAndStatsCallbacks) {
   EXPECT_TRUE(flow_stats_fired);
   EXPECT_EQ(flow_stats_reply, nullptr);
   EXPECT_TRUE(port_stats_fired);
+}
+
+TEST(Liveness, SwitchDownFailsRequestsInXidOrder) {
+  // A down verdict fails every pending callback once, in the order the
+  // requests were made, whatever their kind. The requests go out of kind
+  // order, and the tracked mod's timeout outlasts the heartbeat verdict so
+  // it is still pending when the switch is declared down.
+  sim::SimNetwork net(topo::make_linear(1, 1), drop_miss_options());
+  Controller::Options opts = fast_options();
+  opts.completion_timeout_s = 1.0;
+  Controller ctrl(net, opts);
+  ctrl.connect_all();
+  net.run_until(0.1);
+  ASSERT_TRUE(ctrl.switch_alive(1));
+
+  net.crash_switch(1);  // requests below reach a silent switch
+  std::vector<std::string> fired;
+  ctrl.request_role(1, openflow::ControllerRole::Master, 1,
+                    [&](const openflow::RoleReply* r) {
+                      EXPECT_EQ(r, nullptr);
+                      fired.push_back("role");
+                    });
+  ctrl.request_port_stats(1, {}, [&](const openflow::PortStatsReply* r) {
+    EXPECT_EQ(r, nullptr);
+    fired.push_back("port_stats");
+  });
+  ctrl.flow_mod(1, simple_mod(9),
+                [&](const std::optional<openflow::Error>& err) {
+                  ASSERT_TRUE(err.has_value());
+                  EXPECT_EQ(err->code, completion_code::kSwitchDown);
+                  fired.push_back("flow_mod");
+                });
+  ctrl.barrier(1, [&](bool ok) {
+    EXPECT_FALSE(ok);
+    fired.push_back("barrier");
+  });
+  ctrl.request_flow_stats(1, {}, [&](const openflow::FlowStatsReply* r) {
+    EXPECT_EQ(r, nullptr);
+    fired.push_back("flow_stats");
+  });
+
+  net.run_until(0.5);  // heartbeat declares the switch down
+  ASSERT_FALSE(ctrl.switch_alive(1));
+  EXPECT_EQ(fired, (std::vector<std::string>{"role", "port_stats", "flow_mod",
+                                             "barrier", "flow_stats"}));
 }
 
 TEST(Liveness, RequestsToDownSwitchFailFast) {

@@ -267,6 +267,24 @@ TEST(StoreTableFull, EvictsOwnLowerImportanceRuleAndRetries) {
   EXPECT_EQ(store.degraded_rules(1), 2u);
   EXPECT_FALSE(net.switch_at(1).table(0).contains(store_rule(8, 1, 0).match,
                                                   10));
+
+  // A bundle runs the same ladder: its commit into the still-full table is
+  // rejected whole, the store sacrifices one imp-10 rule per member and
+  // re-commits, and the caller sees one clean completion.
+  outcome.reset();
+  store.install_bundle(1, {store_rule(6, 50, 0xd6), store_rule(7, 50, 0xd7)},
+                       [&](const std::optional<openflow::Error>& err) {
+                         outcome = err;
+                       });
+  net.run_until(3.0);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->has_value()) << "bundle retry should have succeeded";
+  EXPECT_TRUE(net.switch_at(1).table(0).contains(store_rule(6, 50, 0).match,
+                                                 10));
+  EXPECT_TRUE(net.switch_at(1).table(0).contains(store_rule(7, 50, 0).match,
+                                                 10));
+  EXPECT_EQ(net.switch_at(1).table(0).size(), 4u);
+  EXPECT_EQ(store.degraded_rules(1), 4u);
 }
 
 TEST(StoreTableFull, EvictionParksRuleAuditsDoNotFlap) {
