@@ -54,9 +54,6 @@ obs::Slo& audit_slo() {
 
 }  // namespace
 
-FlowRuleStore::FlowRuleStore(Controller& controller, Options options)
-    : controller_(controller), options_(options) {}
-
 FlowRuleStore::IntendedRule* FlowRuleStore::find_rule(
     Dpid dpid, const openflow::FlowMod& mod) {
   const auto sit = switches_.find(dpid);
@@ -337,7 +334,7 @@ void FlowRuleStore::run_round(Dpid dpid) {
   if (it == audits_.end()) return;
   Audit& a = it->second;
   if (!controller_.switch_alive(dpid) ||
-      a.report.rounds >= options_.max_rounds) {
+      a.report.rounds >= kMaxAuditRounds) {
     finish(dpid, false);
     return;
   }
@@ -362,7 +359,7 @@ void FlowRuleStore::run_round(Dpid dpid) {
       });
   // The stats exchange itself can be lost on a faulty channel: retry the
   // round if no reply claimed this serial in time.
-  controller_.events().schedule_in(options_.round_timeout_s,
+  controller_.events().schedule_in(kRoundTimeoutS,
                                    [this, dpid, serial] {
                                      const auto it = audits_.find(dpid);
                                      if (it == audits_.end() ||
@@ -434,7 +431,7 @@ void FlowRuleStore::reconcile(Dpid dpid,
                 << ", deleted " << orphans << " orphans";
   // Let the (tracked, retried) repairs land, then re-read.
   controller_.events().schedule_in(
-      options_.settle_s, [this, dpid, serial = a.round_serial] {
+      kSettleS, [this, dpid, serial = a.round_serial] {
         const auto it = audits_.find(dpid);
         if (it == audits_.end() || it->second.round_serial != serial) return;
         run_round(dpid);

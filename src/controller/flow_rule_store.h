@@ -43,15 +43,6 @@ struct AuditReport {
 
 class FlowRuleStore {
  public:
-  struct Options {
-    int max_rounds = 8;
-    // A round's flow-stats exchange is retried after this long (the
-    // request or reply can be lost on a faulty channel).
-    double round_timeout_s = 0.25;
-    // Settle time between sending repairs and re-reading the switch.
-    double settle_s = 0.05;
-  };
-
   struct Stats {
     std::uint64_t installs = 0;
     std::uint64_t removes = 0;
@@ -66,10 +57,15 @@ class FlowRuleStore {
   // TableFull repair: how many times an install is retried after the store
   // sacrifices one of its own lower-importance rules to make room.
   static constexpr int kMaxTableFullRetries = 2;
+  // Flow-stats rounds an audit may use before it gives up unconverged.
+  static constexpr int kMaxAuditRounds = 8;
+  // A round's flow-stats exchange is retried after this long (the
+  // request or reply can be lost on a faulty channel).
+  static constexpr double kRoundTimeoutS = 0.25;
+  // Settle time between sending repairs and re-reading the switch.
+  static constexpr double kSettleS = 0.05;
 
-  explicit FlowRuleStore(Controller& controller)
-      : FlowRuleStore(controller, Options()) {}
-  FlowRuleStore(Controller& controller, Options options);
+  explicit FlowRuleStore(Controller& controller) : controller_(controller) {}
 
   // Records the rule as intended on `dpid` and sends it transactionally.
   // Add and Modify upsert the intended entry keyed by (table, priority,
@@ -168,7 +164,6 @@ class FlowRuleStore {
   IntendedRule* find_rule(Dpid dpid, const openflow::FlowMod& mod);
 
   Controller& controller_;
-  Options options_;
   std::unordered_map<Dpid, SwitchState> switches_;
   std::unordered_map<Dpid, Audit> audits_;  // at most one per switch
   std::unordered_set<std::uint64_t> managed_cookies_;

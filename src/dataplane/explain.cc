@@ -6,25 +6,6 @@ namespace zen::dataplane {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += util::format("\\u%04x", c);
-        else
-          out += c;
-    }
-  }
-  return out;
-}
-
 std::string mask_summary(const ExplainStep& step) {
   std::string out;
   int probed = 0, pruned = 0;
@@ -159,7 +140,7 @@ std::string ExplainTrace::to_json() const {
         break;
     }
     if (!s.detail.empty())
-      out += ",\"detail\":\"" + json_escape(s.detail) + "\"";
+      out += ",\"detail\":\"" + util::json_escape(s.detail) + "\"";
     out += '}';
   }
   out += "]}";

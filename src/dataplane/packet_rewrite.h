@@ -2,9 +2,11 @@
 //
 // The pipeline parses a frame once into (headers, payload); set-field
 // actions mutate the header structs, and serialize() materializes wire
-// bytes with recomputed IPv4 and L4 checksums. This gives correct
-// semantics for action lists that interleave rewrites and outputs (each
-// output sees the packet as rewritten so far).
+// bytes through net::serialize_packet, the same writer the packet builders
+// use, so lengths, the IPv4 header checksum and the TCP/UDP (over the IPv4
+// or IPv6 pseudo-header) and ICMP checksums are recomputed. This gives
+// correct semantics for action lists that interleave rewrites and outputs
+// (each output sees the packet as rewritten so far).
 //
 // The packet is a view: it keeps a span of the frame it was built from
 // (the payload and, while unmodified, the whole wire image are read from
@@ -47,6 +49,7 @@ class MutablePacket {
   // original frame verbatim.
   net::Bytes serialize() const;
 
+  // Size of serialize()'s result, without building it.
   std::size_t wire_size() const noexcept;
 
  private:

@@ -75,9 +75,8 @@ const char* InvariantMonitor::kind_name(ViolationKind kind) noexcept {
 }
 
 InvariantMonitor::InvariantMonitor(sim::SimNetwork& net,
-                                   intent::IntentManager& intents,
-                                   Options options)
-    : net_(net), intents_(intents), options_(options), tracer_(net) {
+                                   intent::IntentManager& intents)
+    : net_(net), intents_(intents), tracer_(net) {
   MonitorMetrics::get();
   obs::SloMonitor::Objective objective;
   objective.name = "invariant_clean";
@@ -100,17 +99,12 @@ void InvariantMonitor::init(controller::Controller& controller) {
       "invariants", [this] { return report_json(); });
   diag_token_explain_ = obs::Diagnostics::global().add_provider(
       "explain", [this] { return tracer_.stats_json(); });
-  if (options_.periodic_s > 0) {
-    // Self-rescheduling sweep: catches deltas that never produce a
-    // controller event (e.g. dataplane-local rule expiry).
-    net_.events().schedule_in(options_.periodic_s, [this] { periodic_tick(); });
-  }
 }
 
 void InvariantMonitor::schedule_check() {
   if (pending_) return;
   pending_ = true;
-  net_.events().schedule_in(options_.settle_delay_s, [this] {
+  net_.events().schedule_in(kSettleDelayS, [this] {
     pending_ = false;
     maybe_check();
   });
@@ -184,7 +178,7 @@ void InvariantMonitor::verify_connectivity(Report& report, intent::IntentId id,
 
   PathTrace trace = tracer_.trace_from_host(
       src_host, std::span<const std::uint8_t>(frame.data(), frame.size()),
-      options_.max_hops);
+      kMaxHops);
   ++report.traces;
 
   if (trace.verdict == PathVerdict::kLoop ||
@@ -248,7 +242,7 @@ void InvariantMonitor::verify_ban(Report& report, intent::IntentId id,
     return;
   PathTrace trace = tracer_.trace_from_host(
       src_host, std::span<const std::uint8_t>(frame.data(), frame.size()),
-      options_.max_hops);
+      kMaxHops);
   ++report.traces;
   if (trace.delivered_to(dst_host)) {
     Violation v;
@@ -334,13 +328,6 @@ void InvariantMonitor::publish(Report& report) {
     obs::FlightRecorder::global().record(obs::FlightEventKind::kInvariantClear,
                                          report_.violations.size(),
                                          report.epoch);
-  }
-}
-
-void InvariantMonitor::periodic_tick() {
-  maybe_check();
-  if (options_.periodic_s > 0) {
-    net_.events().schedule_in(options_.periodic_s, [this] { periodic_tick(); });
   }
 }
 

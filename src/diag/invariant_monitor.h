@@ -43,16 +43,11 @@ namespace zen::diag {
 
 class InvariantMonitor : public controller::App {
  public:
-  struct Options {
-    // Hop budget per trace; exhausting it is reported as a loop.
-    int max_hops = 64;
-    // Delay between a controller event and the re-check, so the intent
-    // framework's own recompile + flow mods land first.
-    double settle_delay_s = 0.05;
-    // > 0 also sweeps periodically (catches silent divergence with no
-    // controller event at all, e.g. dataplane-side rule expiry).
-    double periodic_s = 0;
-  };
+  // Hop budget per trace; exhausting it is reported as a loop.
+  static constexpr int kMaxHops = 64;
+  // Delay between a controller event and the re-check, so the intent
+  // framework's own recompile + flow mods land first.
+  static constexpr double kSettleDelayS = 0.05;
 
   enum class ViolationKind : std::uint8_t {
     kBlackhole = 0,
@@ -88,10 +83,7 @@ class InvariantMonitor : public controller::App {
     std::uint64_t clears = 0;           // violated -> clean transitions
   };
 
-  InvariantMonitor(sim::SimNetwork& net, intent::IntentManager& intents)
-      : InvariantMonitor(net, intents, Options()) {}
-  InvariantMonitor(sim::SimNetwork& net, intent::IntentManager& intents,
-                   Options options);
+  InvariantMonitor(sim::SimNetwork& net, intent::IntentManager& intents);
   ~InvariantMonitor() override;
 
   std::string name() const override { return "invariant_monitor"; }
@@ -128,7 +120,6 @@ class InvariantMonitor : public controller::App {
 
  private:
   void schedule_check();
-  void periodic_tick();
   std::uint64_t rules_signature() const;
   void verify_connectivity(Report& report, intent::IntentId id,
                            const intent::IntentSpec& spec,
@@ -146,7 +137,6 @@ class InvariantMonitor : public controller::App {
 
   sim::SimNetwork& net_;
   intent::IntentManager& intents_;
-  Options options_;
   PacketTracer tracer_;
   Report report_;
   Stats stats_;

@@ -10,26 +10,6 @@ namespace zen::diag {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::format("\\u%04x", (unsigned)(unsigned char)c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string node_name(topo::NodeId id) {
   return topo::is_host_id(id) ? util::format("host 0x%llx",
                                              (unsigned long long)id)
@@ -133,7 +113,7 @@ std::string PathTrace::to_json() const {
           "{\"port\":%u,\"queue\":%u,\"peer\":%llu,\"peer_port\":%u,"
           "\"to_host\":%s,\"note\":\"%s\"}",
           o.port, o.queue_id, (unsigned long long)o.peer, o.peer_port,
-          o.to_host ? "true" : "false", json_escape(o.note).c_str());
+          o.to_host ? "true" : "false", util::json_escape(o.note).c_str());
     }
     out += "],\"explain\":" + hop.explain.to_json() + "}";
   }

@@ -38,4 +38,14 @@ std::uint16_t l4_checksum_ipv4(Ipv4Address src, Ipv4Address dst,
   return fold(sum_words(segment, acc));
 }
 
+std::uint16_t l4_checksum_ipv6(const Ipv6Address& src, const Ipv6Address& dst,
+                               std::uint8_t next_header,
+                               std::span<const std::uint8_t> segment) {
+  std::uint32_t acc = sum_words(src.octets(), 0);
+  acc = sum_words(dst.octets(), acc);
+  acc += static_cast<std::uint32_t>(segment.size());
+  acc += next_header;
+  return fold(sum_words(segment, acc));
+}
+
 }  // namespace zen::net

@@ -18,4 +18,10 @@ std::uint16_t l4_checksum_ipv4(Ipv4Address src, Ipv4Address dst,
                                std::uint8_t protocol,
                                std::span<const std::uint8_t> segment);
 
+// The same over the IPv6 pseudo-header (src, dst, upper-layer length,
+// next header; RFC 8200 §8.1).
+std::uint16_t l4_checksum_ipv6(const Ipv6Address& src, const Ipv6Address& dst,
+                               std::uint8_t next_header,
+                               std::span<const std::uint8_t> segment);
+
 }  // namespace zen::net

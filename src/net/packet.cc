@@ -113,22 +113,125 @@ util::Result<ParsedPacket> parse_packet(std::span<const std::uint8_t> frame) {
 
 namespace {
 
+std::size_t l4_header_size(const ParsedPacket& p) noexcept {
+  if (p.tcp) return TcpHeader::kMinSize;
+  if (p.udp) return UdpHeader::kSize;
+  if (p.icmp) return IcmpHeader::kSize;
+  return 0;
+}
+
+}  // namespace
+
+std::size_t serialized_size(const ParsedPacket& p,
+                            std::size_t payload_size) noexcept {
+  std::size_t n = EthernetHeader::kSize + l4_header_size(p) + payload_size;
+  if (p.vlan) n += VlanTag::kSize;
+  if (p.arp) n += ArpMessage::kSize;
+  if (p.ipv4) n += Ipv4Header::kMinSize;
+  if (p.ipv6) n += Ipv6Header::kSize;
+  return n;
+}
+
+Bytes serialize_packet(const ParsedPacket& p,
+                       std::span<const std::uint8_t> payload) {
+  Bytes out;
+  out.reserve(serialized_size(p, payload.size()));
+  util::ByteWriter w(out);
+  p.eth.serialize(w);
+  if (p.vlan) p.vlan->serialize(w);
+  if (p.arp) p.arp->serialize(w);
+
+  const auto l4_length =
+      static_cast<std::uint16_t>(l4_header_size(p) + payload.size());
+  if (p.ipv4) {
+    Ipv4Header ip = *p.ipv4;
+    ip.total_length =
+        static_cast<std::uint16_t>(Ipv4Header::kMinSize + l4_length);
+    ip.serialize(w);  // with a fresh header checksum
+  } else if (p.ipv6) {
+    Ipv6Header ip6 = *p.ipv6;
+    ip6.payload_length = l4_length;
+    ip6.serialize(w);
+  }
+
+  // L4 header with a zero checksum, then the payload; the checksum is
+  // computed over the written segment and patched in.
+  const std::size_t l4_start = out.size();
+  std::size_t checksum_offset = 0;
+  if (p.tcp) {
+    TcpHeader h = *p.tcp;
+    h.checksum = 0;
+    h.serialize(w);
+    checksum_offset = 16;
+  } else if (p.udp) {
+    UdpHeader h = *p.udp;
+    h.length = l4_length;
+    h.checksum = 0;
+    h.serialize(w);
+    checksum_offset = 6;
+  } else if (p.icmp) {
+    IcmpHeader h = *p.icmp;
+    h.checksum = 0;
+    h.serialize(w);
+    checksum_offset = 2;
+  }
+  w.bytes(payload);
+  if (checksum_offset == 0) return out;  // no L4 header to checksum
+
+  const auto segment = std::span<const std::uint8_t>(out).subspan(l4_start);
+  std::uint16_t sum = 0;
+  if (p.icmp)
+    sum = internet_checksum(segment);
+  else if (p.ipv4)
+    sum = l4_checksum_ipv4(p.ipv4->src, p.ipv4->dst, p.ipv4->protocol, segment);
+  else if (p.ipv6)
+    sum = l4_checksum_ipv6(p.ipv6->src, p.ipv6->dst, p.ipv6->next_header,
+                           segment);
+  w.patch_u16(l4_start + checksum_offset, sum);
+  return out;
+}
+
+namespace {
+
 Bytes build_arp(std::uint16_t opcode, MacAddress eth_dst, MacAddress sender_mac,
                 Ipv4Address sender_ip, MacAddress target_mac,
                 Ipv4Address target_ip) {
-  Bytes out;
-  out.reserve(EthernetHeader::kSize + ArpMessage::kSize);
-  util::ByteWriter w(out);
-  EthernetHeader eth{eth_dst, sender_mac, EtherType::kArp};
-  eth.serialize(w);
-  ArpMessage arp;
-  arp.opcode = opcode;
-  arp.sender_mac = sender_mac;
-  arp.sender_ip = sender_ip;
-  arp.target_mac = target_mac;
-  arp.target_ip = target_ip;
-  arp.serialize(w);
-  return out;
+  ParsedPacket p;
+  p.eth = {eth_dst, sender_mac, EtherType::kArp};
+  p.arp = ArpMessage{opcode, sender_mac, sender_ip, target_mac, target_ip};
+  return serialize_packet(p, {});
+}
+
+// Ethernet + IP scaffolds for the builders; the caller adds the L4 header
+// and serialize_packet derives every length and checksum.
+ParsedPacket ipv4_stack(MacAddress eth_src, MacAddress eth_dst,
+                        Ipv4Address src, Ipv4Address dst,
+                        std::uint8_t protocol, std::uint8_t dscp) {
+  ParsedPacket p;
+  p.eth = {eth_dst, eth_src, EtherType::kIpv4};
+  Ipv4Header& ip = p.ipv4.emplace();
+  ip.dscp = dscp;
+  ip.protocol = protocol;
+  ip.src = src;
+  ip.dst = dst;
+  return p;
+}
+
+ParsedPacket ipv6_stack(MacAddress eth_src, MacAddress eth_dst,
+                        const Ipv6Address& src, const Ipv6Address& dst,
+                        std::uint8_t next_header) {
+  ParsedPacket p;
+  p.eth = {eth_dst, eth_src, EtherType::kIpv6};
+  p.ipv6 = Ipv6Header{.next_header = next_header, .src = src, .dst = dst};
+  return p;
+}
+
+TcpHeader tcp_header(const TcpSpec& tcp) {
+  return TcpHeader{.src_port = tcp.src_port,
+                   .dst_port = tcp.dst_port,
+                   .seq = tcp.seq,
+                   .ack = tcp.ack,
+                   .flags = tcp.flags};
 }
 
 }  // namespace
@@ -145,176 +248,49 @@ Bytes build_arp_reply(MacAddress sender_mac, Ipv4Address sender_ip,
                    target_mac, target_ip);
 }
 
-namespace {
-
-// Common IPv4 frame scaffold: returns the byte vector with Ethernet+IPv4
-// written and the L4 part appended by `l4_size`/`write_l4`.
-template <typename WriteL4>
-Bytes build_ipv4_frame(MacAddress eth_src, MacAddress eth_dst, Ipv4Address src,
-                       Ipv4Address dst, std::uint8_t protocol,
-                       std::uint8_t dscp, std::size_t l4_size,
-                       std::span<const std::uint8_t> payload,
-                       WriteL4&& write_l4) {
-  Bytes out;
-  out.reserve(EthernetHeader::kSize + Ipv4Header::kMinSize + l4_size +
-              payload.size());
-  util::ByteWriter w(out);
-  EthernetHeader eth{eth_dst, eth_src, EtherType::kIpv4};
-  eth.serialize(w);
-
-  Ipv4Header ip;
-  ip.dscp = dscp;
-  ip.protocol = protocol;
-  ip.src = src;
-  ip.dst = dst;
-  ip.total_length = static_cast<std::uint16_t>(Ipv4Header::kMinSize + l4_size +
-                                               payload.size());
-  ip.serialize(w);
-
-  // Build the L4 segment separately so the pseudo-header checksum can be
-  // computed over it, then patch it in.
-  Bytes segment;
-  segment.reserve(l4_size + payload.size());
-  util::ByteWriter sw(segment);
-  const std::size_t checksum_offset = write_l4(sw);
-  sw.bytes(payload);
-  const std::uint16_t sum = l4_checksum_ipv4(src, dst, protocol, segment);
-  if (checksum_offset != SIZE_MAX) sw.patch_u16(checksum_offset, sum);
-  w.bytes(segment);
-  return out;
-}
-
-}  // namespace
-
 Bytes build_ipv4_tcp(MacAddress eth_src, MacAddress eth_dst, Ipv4Address src,
                      Ipv4Address dst, const TcpSpec& tcp,
                      std::span<const std::uint8_t> payload, std::uint8_t dscp) {
-  return build_ipv4_frame(
-      eth_src, eth_dst, src, dst, IpProto::kTcp, dscp, TcpHeader::kMinSize,
-      payload, [&](util::ByteWriter& sw) {
-        TcpHeader h;
-        h.src_port = tcp.src_port;
-        h.dst_port = tcp.dst_port;
-        h.seq = tcp.seq;
-        h.ack = tcp.ack;
-        h.flags = tcp.flags;
-        h.serialize(sw);
-        return std::size_t{16};  // checksum offset within TCP header
-      });
+  ParsedPacket p = ipv4_stack(eth_src, eth_dst, src, dst, IpProto::kTcp, dscp);
+  p.tcp = tcp_header(tcp);
+  return serialize_packet(p, payload);
 }
 
 Bytes build_ipv4_udp(MacAddress eth_src, MacAddress eth_dst, Ipv4Address src,
                      Ipv4Address dst, std::uint16_t src_port,
                      std::uint16_t dst_port,
                      std::span<const std::uint8_t> payload, std::uint8_t dscp) {
-  return build_ipv4_frame(
-      eth_src, eth_dst, src, dst, IpProto::kUdp, dscp, UdpHeader::kSize,
-      payload, [&](util::ByteWriter& sw) {
-        UdpHeader h;
-        h.src_port = src_port;
-        h.dst_port = dst_port;
-        h.length = static_cast<std::uint16_t>(UdpHeader::kSize + payload.size());
-        h.serialize(sw);
-        return std::size_t{6};  // checksum offset within UDP header
-      });
+  ParsedPacket p = ipv4_stack(eth_src, eth_dst, src, dst, IpProto::kUdp, dscp);
+  p.udp = UdpHeader{.src_port = src_port, .dst_port = dst_port};
+  return serialize_packet(p, payload);
 }
 
 Bytes build_ipv4_icmp_echo(MacAddress eth_src, MacAddress eth_dst,
                            Ipv4Address src, Ipv4Address dst, bool request,
                            std::uint16_t identifier, std::uint16_t sequence) {
-  return build_ipv4_frame(
-      eth_src, eth_dst, src, dst, IpProto::kIcmp, 0, IcmpHeader::kSize, {},
-      [&](util::ByteWriter& sw) {
-        IcmpHeader h;
-        h.type = request ? IcmpHeader::kEchoRequest : IcmpHeader::kEchoReply;
-        h.identifier = identifier;
-        h.sequence = sequence;
-        h.serialize(sw);
-        return std::size_t{2};  // ICMP checksum offset
-      });
+  ParsedPacket p = ipv4_stack(eth_src, eth_dst, src, dst, IpProto::kIcmp, 0);
+  p.icmp = IcmpHeader{
+      .type = request ? IcmpHeader::kEchoRequest : IcmpHeader::kEchoReply,
+      .identifier = identifier,
+      .sequence = sequence};
+  return serialize_packet(p, {});
 }
-
-namespace {
-
-template <typename WriteL4>
-Bytes build_ipv6_frame(MacAddress eth_src, MacAddress eth_dst,
-                       const Ipv6Address& src, const Ipv6Address& dst,
-                       std::uint8_t next_header, std::size_t l4_size,
-                       std::span<const std::uint8_t> payload,
-                       WriteL4&& write_l4) {
-  Bytes out;
-  out.reserve(EthernetHeader::kSize + Ipv6Header::kSize + l4_size +
-              payload.size());
-  util::ByteWriter w(out);
-  EthernetHeader eth{eth_dst, eth_src, EtherType::kIpv6};
-  eth.serialize(w);
-
-  Ipv6Header ip6;
-  ip6.next_header = next_header;
-  ip6.src = src;
-  ip6.dst = dst;
-  ip6.payload_length = static_cast<std::uint16_t>(l4_size + payload.size());
-  ip6.serialize(w);
-
-  // L4 checksum over the IPv6 pseudo-header (RFC 8200 §8.1).
-  Bytes segment;
-  util::ByteWriter sw(segment);
-  const std::size_t checksum_offset = write_l4(sw);
-  sw.bytes(payload);
-  if (checksum_offset != SIZE_MAX) {
-    std::uint32_t acc = 0;
-    for (int i = 0; i < 16; i += 2)
-      acc += (std::uint32_t{src.octets()[static_cast<std::size_t>(i)]} << 8) |
-             src.octets()[static_cast<std::size_t>(i + 1)];
-    for (int i = 0; i < 16; i += 2)
-      acc += (std::uint32_t{dst.octets()[static_cast<std::size_t>(i)]} << 8) |
-             dst.octets()[static_cast<std::size_t>(i + 1)];
-    acc += static_cast<std::uint32_t>(segment.size());
-    acc += next_header;
-    std::size_t i = 0;
-    for (; i + 1 < segment.size(); i += 2)
-      acc += (std::uint32_t{segment[i]} << 8) | segment[i + 1];
-    if (i < segment.size()) acc += std::uint32_t{segment[i]} << 8;
-    while (acc >> 16) acc = (acc & 0xffff) + (acc >> 16);
-    sw.patch_u16(checksum_offset, static_cast<std::uint16_t>(~acc & 0xffff));
-  }
-  w.bytes(segment);
-  return out;
-}
-
-}  // namespace
 
 Bytes build_ipv6_udp(MacAddress eth_src, MacAddress eth_dst,
                      const Ipv6Address& src, const Ipv6Address& dst,
                      std::uint16_t src_port, std::uint16_t dst_port,
                      std::span<const std::uint8_t> payload) {
-  return build_ipv6_frame(
-      eth_src, eth_dst, src, dst, IpProto::kUdp, UdpHeader::kSize, payload,
-      [&](util::ByteWriter& sw) {
-        UdpHeader h;
-        h.src_port = src_port;
-        h.dst_port = dst_port;
-        h.length = static_cast<std::uint16_t>(UdpHeader::kSize + payload.size());
-        h.serialize(sw);
-        return std::size_t{6};
-      });
+  ParsedPacket p = ipv6_stack(eth_src, eth_dst, src, dst, IpProto::kUdp);
+  p.udp = UdpHeader{.src_port = src_port, .dst_port = dst_port};
+  return serialize_packet(p, payload);
 }
 
 Bytes build_ipv6_tcp(MacAddress eth_src, MacAddress eth_dst,
                      const Ipv6Address& src, const Ipv6Address& dst,
                      const TcpSpec& tcp, std::span<const std::uint8_t> payload) {
-  return build_ipv6_frame(
-      eth_src, eth_dst, src, dst, IpProto::kTcp, TcpHeader::kMinSize, payload,
-      [&](util::ByteWriter& sw) {
-        TcpHeader h;
-        h.src_port = tcp.src_port;
-        h.dst_port = tcp.dst_port;
-        h.seq = tcp.seq;
-        h.ack = tcp.ack;
-        h.flags = tcp.flags;
-        h.serialize(sw);
-        return std::size_t{16};
-      });
+  ParsedPacket p = ipv6_stack(eth_src, eth_dst, src, dst, IpProto::kTcp);
+  p.tcp = tcp_header(tcp);
+  return serialize_packet(p, payload);
 }
 
 Bytes build_discovery_frame(MacAddress src, std::uint64_t datapath_id,

@@ -1,9 +1,11 @@
 // Packet: owned wire bytes plus a decoded header stack.
 //
 // A Packet owns its bytes (std::vector). ParsedPacket is the decoded view:
-// which headers are present, their values, and the payload offset. Builders
-// construct well-formed frames for the common cases the stack needs
-// (ARP, IPv4/TCP/UDP/ICMP, LLDP-style discovery frames).
+// which headers are present, their values, and the payload offset.
+// serialize_packet() is the inverse and the one frame writer: the builders
+// (ARP, IPv4 TCP/UDP/ICMP, IPv6 TCP/UDP) fill a ParsedPacket and call it,
+// and so does the dataplane's set-field rewriter. LLDP-style discovery
+// frames carry no L3/L4 stack and are written by their own builder.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +46,21 @@ struct ParsedPacket {
 // Parses an Ethernet frame. Unknown L3/L4 protocols parse successfully with
 // the corresponding optionals empty; truncated headers produce an error.
 util::Result<ParsedPacket> parse_packet(std::span<const std::uint8_t> frame);
+
+// ---- Frame writer ---------------------------------------------------------
+
+// Writes `p`'s headers in stack order, then `payload`. Every field is
+// written as given except these, which are derived from the stack:
+//   IPv4 total length and header checksum; IPv6 payload length;
+//   UDP length; the TCP/UDP checksum over the IPv4 or IPv6 pseudo-header;
+//   the ICMPv4 checksum over the ICMP message alone (RFC 792).
+// `payload_offset` is ignored, and IPv4/TCP options are never emitted.
+Bytes serialize_packet(const ParsedPacket& p,
+                       std::span<const std::uint8_t> payload);
+
+// Size of serialize_packet(p, payload) for a payload of `payload_size`.
+std::size_t serialized_size(const ParsedPacket& p,
+                            std::size_t payload_size) noexcept;
 
 // ---- Builders -------------------------------------------------------------
 

@@ -1,7 +1,5 @@
 #include "net/telemetry.h"
 
-#include "util/buffer.h"
-
 namespace zen::net {
 
 namespace {
@@ -34,6 +32,8 @@ void write_footer(util::ByteWriter& w, std::uint8_t hop_count) {
   w.u16(static_cast<std::uint16_t>(hop_count * kHopRecordSize));
 }
 
+}  // namespace
+
 void write_hop(util::ByteWriter& w, const TelemetryHop& hop) {
   w.u64(hop.switch_id);
   w.u32(hop.ingress_port);
@@ -51,8 +51,6 @@ TelemetryHop read_hop(util::ByteReader& r) {
   hop.queue_depth_bytes = r.u32();
   return hop;
 }
-
-}  // namespace
 
 bool has_telemetry_trailer(std::span<const std::uint8_t> frame) noexcept {
   return parse_footer(frame).has_value();

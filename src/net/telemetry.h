@@ -23,6 +23,8 @@
 #include <span>
 #include <vector>
 
+#include "util/buffer.h"
+
 namespace zen::net {
 
 using Bytes = std::vector<std::uint8_t>;
@@ -44,6 +46,12 @@ inline constexpr std::size_t kHopRecordSize = 28;
 inline constexpr std::size_t kTelemetryFooterSize = 8;
 // Hard cap on hops per trailer (a 32-hop path is far beyond any sim fabric).
 inline constexpr std::size_t kMaxTelemetryHops = 32;
+
+// The hop record codec, kHopRecordSize bytes big-endian: u64 switch id,
+// u32 ingress port, u32 egress port, u64 timestamp, u32 queue depth. The
+// trailer and the telemetry export batch both carry hops in this layout.
+void write_hop(util::ByteWriter& w, const TelemetryHop& hop);
+TelemetryHop read_hop(util::ByteReader& r);
 
 // True if `frame` ends in a well-formed telemetry trailer.
 bool has_telemetry_trailer(std::span<const std::uint8_t> frame) noexcept;

@@ -6,6 +6,7 @@
 
 #include "obs/shard_stats.h"
 #include "util/clock.h"
+#include "util/strings.h"
 
 namespace zen::obs {
 
@@ -44,24 +45,6 @@ std::string format_value(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.9g", v);
   return buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out.append(buf);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -209,9 +192,9 @@ std::string MetricsRegistry::render_json() const {
   for (const Series& s : snap.series) {
     if (!first) out.push_back(',');
     first = false;
-    out += "{\"name\":\"" + json_escape(s.name) + "\"";
+    out += "{\"name\":\"" + util::json_escape(s.name) + "\"";
     if (!s.labels.empty())
-      out += ",\"labels\":\"" + json_escape(s.labels) + "\"";
+      out += ",\"labels\":\"" + util::json_escape(s.labels) + "\"";
     switch (s.kind) {
       case Series::Kind::Counter:
         out += ",\"type\":\"counter\",\"value\":" + format_value(s.value);

@@ -50,24 +50,6 @@ net::FlowKey decode_flow_key(util::ByteReader& r) {
   return k;
 }
 
-void encode_hop(const net::TelemetryHop& h, util::ByteWriter& w) {
-  w.u64(h.switch_id);
-  w.u32(h.ingress_port);
-  w.u32(h.egress_port);
-  w.u64(h.timestamp_ns);
-  w.u32(h.queue_depth_bytes);
-}
-
-net::TelemetryHop decode_hop(util::ByteReader& r) {
-  net::TelemetryHop h;
-  h.switch_id = r.u64();
-  h.ingress_port = r.u32();
-  h.egress_port = r.u32();
-  h.timestamp_ns = r.u64();
-  h.queue_depth_bytes = r.u32();
-  return h;
-}
-
 }  // namespace
 
 net::Bytes encode_batch(const ExportBatch& batch) {
@@ -92,7 +74,7 @@ net::Bytes encode_batch(const ExportBatch& batch) {
     w.u16(p.l4_src);
     w.u16(p.l4_dst);
     w.u16(static_cast<std::uint16_t>(p.hops.size()));
-    for (const net::TelemetryHop& h : p.hops) encode_hop(h, w);
+    for (const net::TelemetryHop& h : p.hops) net::write_hop(w, h);
   }
   return out;
 }
@@ -128,7 +110,7 @@ util::Result<ExportBatch> decode_batch(std::span<const std::uint8_t> payload) {
     p.l4_dst = r.u16();
     const std::uint16_t n_hops = r.u16();
     for (std::uint16_t h = 0; h < n_hops && r.ok(); ++h) {
-      p.hops.push_back(decode_hop(r));
+      p.hops.push_back(net::read_hop(r));
     }
     batch.paths.push_back(std::move(p));
   }

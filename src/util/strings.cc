@@ -61,4 +61,23 @@ std::string format_bps(double bits_per_second) {
   return format("%.2f %s", v, unit);
 }
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20)
+          out += format("\\u%04x", static_cast<unsigned>(c));
+        else
+          out += c;
+    }
+  }
+  return out;
+}
+
 }  // namespace zen::util

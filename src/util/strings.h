@@ -21,4 +21,9 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 // "1.50 Gbit/s"-style human formatting for rates in bits per second.
 std::string format_bps(double bits_per_second);
 
+// Escapes `s` for use inside a JSON string literal: '"' and '\' get a
+// backslash, newline and tab become \n and \t, and the other control
+// bytes become \u00XX.
+std::string json_escape(std::string_view s);
+
 }  // namespace zen::util

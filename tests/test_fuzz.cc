@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "dataplane/switch.h"
+#include "net/checksum.h"
 #include "net/packet.h"
 #include "openflow/bundle.h"
 #include "openflow/table_status.h"
@@ -320,35 +321,87 @@ TEST(FuzzSwitch, RandomWireMessagesThroughAgentSurface) {
 
 // ---- MutablePacket rewrites on arbitrary parsed frames ----
 
+// Checks every checksum in `frame`: the IPv4 header's, TCP/UDP over the
+// IPv4 or IPv6 pseudo-header, and ICMPv4 over the message alone.
+::testing::AssertionResult checksums_verify(std::span<const std::uint8_t> frame,
+                                            const net::ParsedPacket& p) {
+  std::size_t l4 = net::EthernetHeader::kSize + (p.vlan ? net::VlanTag::kSize : 0);
+  if (p.ipv4) {
+    if (net::internet_checksum(frame.subspan(l4, net::Ipv4Header::kMinSize)) != 0)
+      return ::testing::AssertionFailure() << "IPv4 header checksum";
+    l4 += net::Ipv4Header::kMinSize;
+  } else if (p.ipv6) {
+    l4 += net::Ipv6Header::kSize;
+  }
+  const auto segment = frame.subspan(l4);
+  std::uint16_t residue = 0;
+  if (p.icmp)
+    residue = net::internet_checksum(segment);
+  else if ((p.tcp || p.udp) && p.ipv4)
+    residue = net::l4_checksum_ipv4(p.ipv4->src, p.ipv4->dst, p.ipv4->protocol,
+                                    segment);
+  else if ((p.tcp || p.udp) && p.ipv6)
+    residue = net::l4_checksum_ipv6(p.ipv6->src, p.ipv6->dst,
+                                    p.ipv6->next_header, segment);
+  if (residue != 0)
+    return ::testing::AssertionFailure() << "L4 checksum residue " << residue;
+  return ::testing::AssertionSuccess();
+}
+
 TEST(FuzzRewrite, RandomActionSequencesKeepFramesParseable) {
   util::Rng rng(0x3e14);
-  const net::Bytes base = net::build_ipv4_udp(
-      net::MacAddress::from_u64(1), net::MacAddress::from_u64(2),
-      net::Ipv4Address(10, 0, 0, 1), net::Ipv4Address(10, 0, 0, 2), 1, 2,
-      std::vector<std::uint8_t>(16, 0x42));
+  const net::MacAddress m1 = net::MacAddress::from_u64(1);
+  const net::MacAddress m2 = net::MacAddress::from_u64(2);
+  const net::Ipv4Address a4(10, 0, 0, 1), b4(10, 0, 0, 2);
+  const auto a6 = *net::Ipv6Address::parse("2001:db8::1");
+  const auto b6 = *net::Ipv6Address::parse("2001:db8::2");
+  const std::vector<std::uint8_t> payload(17, 0x42);
+  net::TcpSpec tcp;
+  tcp.src_port = 80;
+  tcp.dst_port = 12345;
+  // One base frame from every builder that writes through the frame writer.
+  const std::vector<net::Bytes> bases = {
+      net::build_arp_request(m1, a4, b4),
+      net::build_ipv4_tcp(m1, m2, a4, b4, tcp, payload),
+      net::build_ipv4_udp(m1, m2, a4, b4, 1, 2, payload),
+      net::build_ipv4_icmp_echo(m1, m2, a4, b4, true, 7, 9),
+      net::build_ipv6_tcp(m1, m2, a6, b6, tcp, payload),
+      net::build_ipv6_udp(m1, m2, a6, b6, 1000, 2000, payload),
+  };
   for (int i = 0; i < 3000; ++i) {
-    dataplane::MutablePacket pkt(base);
+    const std::size_t b = rng.next_below(bases.size());
+    dataplane::MutablePacket pkt(bases[b]);
     ASSERT_TRUE(pkt.ok());
     const int n_actions = static_cast<int>(rng.next_below(6));
     bool alive = true;
     for (int a = 0; a < n_actions && alive; ++a) {
       openflow::Action action = openflow::PopVlanAction{};
-      switch (rng.next_below(8)) {
+      switch (rng.next_below(10)) {
         case 0: action = openflow::SetEthSrcAction{net::MacAddress::from_u64(rng.next_u64() & 0xffffffffffff)}; break;
         case 1: action = openflow::SetEthDstAction{net::MacAddress::from_u64(rng.next_u64() & 0xffffffffffff)}; break;
         case 2: action = openflow::SetIpv4SrcAction{net::Ipv4Address(static_cast<std::uint32_t>(rng.next_u64()))}; break;
         case 3: action = openflow::SetIpv4DstAction{net::Ipv4Address(static_cast<std::uint32_t>(rng.next_u64()))}; break;
-        case 4: action = openflow::SetL4DstAction{static_cast<std::uint16_t>(rng.next_u64())}; break;
-        case 5: action = openflow::PushVlanAction{static_cast<std::uint16_t>(rng.next_below(4096)), 0}; break;
-        case 6: action = openflow::PopVlanAction{}; break;
+        case 4: action = openflow::SetL4SrcAction{static_cast<std::uint16_t>(rng.next_u64())}; break;
+        case 5: action = openflow::SetL4DstAction{static_cast<std::uint16_t>(rng.next_u64())}; break;
+        case 6: action = openflow::SetIpDscpAction{static_cast<std::uint8_t>(rng.next_below(64))}; break;
+        case 7: action = openflow::PushVlanAction{static_cast<std::uint16_t>(rng.next_below(4096)), 0}; break;
+        case 8: action = openflow::PopVlanAction{}; break;
         default: action = openflow::DecTtlAction{}; break;
       }
       alive = pkt.apply(action);
     }
     if (!alive) continue;  // legitimately dropped (e.g. pop on untagged)
     const net::Bytes out = pkt.serialize();
+    ASSERT_EQ(out.size(), pkt.wire_size()) << "trial " << i << ", base " << b;
     auto parsed = net::parse_packet(out);
-    EXPECT_TRUE(parsed.ok()) << "rewritten frame unparseable at trial " << i;
+    ASSERT_TRUE(parsed.ok())
+        << "rewritten frame unparseable at trial " << i << ", base " << b;
+    const net::ParsedPacket& p = parsed.value();
+    EXPECT_TRUE(checksums_verify(out, p)) << "trial " << i << ", base " << b;
+    // The writer is the parser's inverse on its own output.
+    EXPECT_EQ(net::serialize_packet(p, std::span(out).subspan(p.payload_offset)),
+              out)
+        << "trial " << i << ", base " << b;
   }
 }
 

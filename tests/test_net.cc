@@ -302,6 +302,10 @@ TEST(Packet, IcmpEcho) {
   ASSERT_TRUE(parsed.value().icmp);
   EXPECT_EQ(parsed.value().icmp->type, IcmpHeader::kEchoRequest);
   EXPECT_EQ(parsed.value().icmp->identifier, 77);
+
+  // ICMPv4 checksums the message alone, with no pseudo-header (RFC 792).
+  const std::size_t icmp_offset = EthernetHeader::kSize + Ipv4Header::kMinSize;
+  EXPECT_EQ(internet_checksum(std::span(frame).subspan(icmp_offset)), 0);
 }
 
 TEST(Packet, TruncatedFramesRejected) {
@@ -428,6 +432,14 @@ TEST(PacketV6, BuildAndParseIpv6Udp) {
   EXPECT_EQ(p.ipv6->dst, dst);
   EXPECT_EQ(p.udp->dst_port, 5000);
   EXPECT_EQ(frame.size() - p.payload_offset, payload.size());
+
+  // The UDP checksum verifies over the IPv6 pseudo-header (RFC 8200 §8.1),
+  // and matches an independently computed value.
+  const std::size_t udp_offset = EthernetHeader::kSize + Ipv6Header::kSize;
+  EXPECT_EQ(l4_checksum_ipv6(src, dst, IpProto::kUdp,
+                             std::span(frame).subspan(udp_offset)),
+            0);
+  EXPECT_EQ(p.udp->checksum, 0x7535);
 }
 
 TEST(PacketV6, BuildAndParseIpv6Tcp) {
@@ -445,6 +457,14 @@ TEST(PacketV6, BuildAndParseIpv6Tcp) {
   ASSERT_TRUE(parsed.value().ipv6);
   ASSERT_TRUE(parsed.value().tcp);
   EXPECT_EQ(parsed.value().tcp->flags, TcpHeader::kSyn);
+
+  // The TCP checksum verifies over the IPv6 pseudo-header, and matches an
+  // independently computed value.
+  const std::size_t tcp_offset = EthernetHeader::kSize + Ipv6Header::kSize;
+  EXPECT_EQ(l4_checksum_ipv6(src, dst, IpProto::kTcp,
+                             std::span(frame).subspan(tcp_offset)),
+            0);
+  EXPECT_EQ(parsed.value().tcp->checksum, 0xd803);
 }
 
 TEST(FlowKeyV6, ExtractsIpv6Addresses) {

@@ -328,6 +328,9 @@ TEST(Strings, Format) {
   EXPECT_EQ(format_bps(1.5e9), "1.50 Gbit/s");
   EXPECT_EQ(format_bps(2.5e6), "2.50 Mbit/s");
   EXPECT_EQ(format_bps(999), "999.00 bit/s");
+  // JSON escaping: short forms for quote, backslash, newline and tab;
+  // \u00XX for the other control bytes.
+  EXPECT_EQ(json_escape("q\"b\\n\nt\tc\x01"), "q\\\"b\\\\n\\nt\\tc\\u0001");
 }
 
 }  // namespace
